@@ -1,7 +1,6 @@
 #include "blas/vendor_nv.h"
 
-#include <cmath>
-
+#include "blas/kernels.h"
 #include "simt/simt.h"
 
 namespace nvblas {
@@ -20,36 +19,50 @@ bool on_right_device(const HandleRec* h) {
   return h != nullptr && h->dev == &the_device();
 }
 
-/// Flattened global thread id / total threads, for grid-stride loops.
-std::int64_t tid() {
-  const auto& t = simt::this_thread();
-  return static_cast<std::int64_t>(t.block_idx.x) * t.block_dim.x +
-         t.thread_idx.x;
-}
-std::int64_t total_threads() {
-  const auto& t = simt::this_thread();
-  return static_cast<std::int64_t>(t.grid_dim.count() * t.block_dim.count());
+/// Where and as what an nvblas kernel launches on the handle's stream.
+blas_kernels::Launch on(HandleRec* h, const char* name, int regs = 24) {
+  simt::Stream& s =
+      h->stream != nullptr ? *h->stream : h->dev->default_stream();
+  return {s, name, "nvblas", regs};
 }
 
-simt::Stream& stream_of(HandleRec* h) {
-  return h->stream != nullptr ? *h->stream : h->dev->default_stream();
+template <typename T>
+Status axpy(Handle h, const char* name, int n, const T* alpha, const T* x,
+            int incx, T* y, int incy) {
+  if (!on_right_device(h)) return kNotInitialized;
+  if (n < 0 || incx <= 0 || incy <= 0 || alpha == nullptr || x == nullptr ||
+      y == nullptr)
+    return kInvalidValue;
+  blas_kernels::axpy(on(h, name), n, *alpha, x, incx, y, incy);
+  return kSuccess;
 }
 
-simt::LaunchParams vector_params(const char* name, std::int64_t n,
-                                 double bytes_per_elem, double flops_per_elem) {
-  simt::LaunchParams p;
-  const std::uint32_t block = 256;
-  p.block = {block};
-  p.grid = {static_cast<std::uint32_t>(
-      std::min<std::int64_t>(simt::ceil_div(n, block), 65535))};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = name;
-  p.profile.name = "nvblas";
-  p.profile.regs_per_thread = 24;
-  const double threads = static_cast<double>(p.grid.count()) * block;
-  p.cost.global_bytes_per_thread = bytes_per_elem * n / threads;
-  p.cost.flops_per_thread = flops_per_elem * n / threads;
-  return p;
+template <typename T>
+Status dot(Handle h, const char* name, int n, const T* x, int incx,
+           const T* y, int incy, T* result) {
+  if (!on_right_device(h)) return kNotInitialized;
+  if (n < 0 || incx <= 0 || incy <= 0 || x == nullptr || y == nullptr ||
+      result == nullptr)
+    return kInvalidValue;
+  *result =
+      static_cast<T>(blas_kernels::dot(on(h, name), n, x, incx, y, incy));
+  return kSuccess;
+}
+
+template <typename T>
+Status gemm(Handle h, const char* name, int regs, Operation transa,
+            Operation transb, int m, int n, int k, const T* alpha, const T* a,
+            int lda, const T* b, int ldb, const T* beta, T* c, int ldc) {
+  if (!on_right_device(h)) return kNotInitialized;
+  if (m < 0 || n < 0 || k < 0 || alpha == nullptr || beta == nullptr ||
+      a == nullptr || b == nullptr || c == nullptr)
+    return kInvalidValue;
+  if (lda < (transa == kOpN ? m : k) || ldb < (transb == kOpN ? k : n) ||
+      ldc < m)
+    return kInvalidValue;
+  blas_kernels::gemm(on(h, name, regs), transa != kOpN, transb != kOpN, m, n,
+                     k, *alpha, a, lda, b, ldb, *beta, c, ldc);
+  return kSuccess;
 }
 
 }  // namespace
@@ -85,228 +98,65 @@ Status set_stream(Handle handle, simt::Stream* stream) {
 
 Status daxpy(Handle h, int n, const double* alpha, const double* x, int incx,
              double* y, int incy) {
-  if (!on_right_device(h)) return kNotInitialized;
-  if (n < 0 || alpha == nullptr || x == nullptr || y == nullptr)
-    return kInvalidValue;
-  if (n == 0) return kSuccess;
-  const double a = *alpha;
-  auto p = vector_params("nvblas_daxpy", n, 24.0, 2.0);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < n; i += total)
-      y[i * incy] += a * x[i * incx];
-  });
-  stream_of(h).synchronize();
-  return kSuccess;
+  return axpy(h, "nvblas_daxpy", n, alpha, x, incx, y, incy);
 }
 
 Status ddot(Handle h, int n, const double* x, int incx, const double* y,
             int incy, double* result) {
-  if (!on_right_device(h)) return kNotInitialized;
-  if (n < 0 || x == nullptr || y == nullptr || result == nullptr)
-    return kInvalidValue;
-  *result = 0.0;
-  if (n == 0) return kSuccess;
-  auto p = vector_params("nvblas_ddot", n, 16.0, 2.0);
-  double acc = 0.0;
-  stream_of(h).launch(p, [=, &acc] {
-    const std::int64_t total = total_threads();
-    double partial = 0.0;
-    for (std::int64_t i = tid(); i < n; i += total)
-      partial += x[i * incx] * y[i * incy];
-    simt::atomic_add(&acc, partial);
-  });
-  stream_of(h).synchronize();
-  *result = acc;
-  return kSuccess;
+  return dot(h, "nvblas_ddot", n, x, incx, y, incy, result);
 }
 
 Status dscal(Handle h, int n, const double* alpha, double* x, int incx) {
   if (!on_right_device(h)) return kNotInitialized;
-  if (n < 0 || alpha == nullptr || x == nullptr) return kInvalidValue;
-  if (n == 0) return kSuccess;
-  const double a = *alpha;
-  auto p = vector_params("nvblas_dscal", n, 16.0, 1.0);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < n; i += total) x[i * incx] *= a;
-  });
-  stream_of(h).synchronize();
+  if (n < 0 || incx <= 0 || alpha == nullptr || x == nullptr)
+    return kInvalidValue;
+  blas_kernels::scal(on(h, "nvblas_dscal"), n, *alpha, x, incx);
   return kSuccess;
 }
 
 Status dnrm2(Handle h, int n, const double* x, int incx, double* result) {
   if (!on_right_device(h)) return kNotInitialized;
-  if (n < 0 || x == nullptr || result == nullptr) return kInvalidValue;
-  double acc = 0.0;
-  if (n > 0) {
-    auto p = vector_params("nvblas_dnrm2", n, 8.0, 2.0);
-    stream_of(h).launch(p, [=, &acc] {
-      const std::int64_t total = total_threads();
-      double partial = 0.0;
-      for (std::int64_t i = tid(); i < n; i += total) {
-        const double v = x[i * incx];
-        partial += v * v;
-      }
-      simt::atomic_add(&acc, partial);
-    });
-    stream_of(h).synchronize();
-  }
-  *result = std::sqrt(acc);
+  if (n < 0 || incx <= 0 || x == nullptr || result == nullptr)
+    return kInvalidValue;
+  *result = blas_kernels::nrm2(on(h, "nvblas_dnrm2"), n, x, incx);
   return kSuccess;
 }
 
 Status dgemm(Handle h, Operation transa, Operation transb, int m, int n, int k,
              const double* alpha, const double* a, int lda, const double* b,
              int ldb, const double* beta, double* c, int ldc) {
-  if (!on_right_device(h)) return kNotInitialized;
-  if (m < 0 || n < 0 || k < 0 || alpha == nullptr || beta == nullptr ||
-      a == nullptr || b == nullptr || c == nullptr)
-    return kInvalidValue;
-  if (lda < (transa == kOpN ? m : k) || ldb < (transb == kOpN ? k : n) ||
-      ldc < m)
-    return kInvalidValue;
-  if (m == 0 || n == 0) return kSuccess;
-  const double al = *alpha, be = *beta;
-
-  simt::LaunchParams p;
-  p.block = {16, 16};
-  p.grid = {static_cast<std::uint32_t>(simt::ceil_div(m, 16)),
-            static_cast<std::uint32_t>(simt::ceil_div(n, 16))};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = "nvblas_dgemm";
-  p.profile.name = "nvblas";
-  p.profile.regs_per_thread = 64;
-  p.cost.flops_per_thread = 2.0 * k;
-  p.cost.global_bytes_per_thread = 8.0 * (2 * k / 16.0 + 2);  // tiled reuse
-  stream_of(h).launch(p, [=] {
-    const auto& t = simt::this_thread();
-    const int i = static_cast<int>(t.block_idx.x * 16 + t.thread_idx.x);
-    const int j = static_cast<int>(t.block_idx.y * 16 + t.thread_idx.y);
-    if (i >= m || j >= n) return;
-    double sum = 0.0;
-    for (int l = 0; l < k; ++l) {
-      const double av = transa == kOpN ? a[i + static_cast<std::ptrdiff_t>(l) * lda]
-                                       : a[l + static_cast<std::ptrdiff_t>(i) * lda];
-      const double bv = transb == kOpN ? b[l + static_cast<std::ptrdiff_t>(j) * ldb]
-                                       : b[j + static_cast<std::ptrdiff_t>(l) * ldb];
-      sum += av * bv;
-    }
-    double& out = c[i + static_cast<std::ptrdiff_t>(j) * ldc];
-    out = al * sum + be * out;
-  });
-  stream_of(h).synchronize();
-  return kSuccess;
+  return gemm(h, "nvblas_dgemm", 64, transa, transb, m, n, k, alpha, a, lda, b,
+              ldb, beta, c, ldc);
 }
 
 Status dgemv(Handle h, Operation trans, int m, int n, const double* alpha,
              const double* a, int lda, const double* x, int incx,
              const double* beta, double* y, int incy) {
   if (!on_right_device(h)) return kNotInitialized;
-  if (m < 0 || n < 0 || alpha == nullptr || beta == nullptr || a == nullptr ||
-      x == nullptr || y == nullptr || lda < m)
+  if (m < 0 || n < 0 || incx <= 0 || incy <= 0 || alpha == nullptr ||
+      beta == nullptr || a == nullptr || x == nullptr || y == nullptr ||
+      lda < m)
     return kInvalidValue;
-  const int rows = trans == kOpN ? m : n;
-  const int inner = trans == kOpN ? n : m;
-  if (rows == 0) return kSuccess;
-  const double al = *alpha, be = *beta;
-  auto p = vector_params("nvblas_dgemv", rows, 8.0 * (inner + 2), 2.0 * inner);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < rows; i += total) {
-      double sum = 0.0;
-      for (int l = 0; l < inner; ++l) {
-        const double av = trans == kOpN
-                              ? a[i + static_cast<std::ptrdiff_t>(l) * lda]
-                              : a[l + static_cast<std::ptrdiff_t>(i) * lda];
-        sum += av * x[l * incx];
-      }
-      y[i * incy] = al * sum + be * y[i * incy];
-    }
-  });
-  stream_of(h).synchronize();
+  blas_kernels::gemv(on(h, "nvblas_dgemv"), trans != kOpN, m, n, *alpha, a,
+                     lda, x, incx, *beta, y, incy);
   return kSuccess;
 }
 
 Status saxpy(Handle h, int n, const float* alpha, const float* x, int incx,
              float* y, int incy) {
-  if (!on_right_device(h)) return kNotInitialized;
-  if (n < 0 || alpha == nullptr || x == nullptr || y == nullptr)
-    return kInvalidValue;
-  if (n == 0) return kSuccess;
-  const float a = *alpha;
-  auto p = vector_params("nvblas_saxpy", n, 12.0, 2.0);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < n; i += total)
-      y[i * incy] += a * x[i * incx];
-  });
-  stream_of(h).synchronize();
-  return kSuccess;
+  return axpy(h, "nvblas_saxpy", n, alpha, x, incx, y, incy);
 }
 
 Status sdot(Handle h, int n, const float* x, int incx, const float* y,
             int incy, float* result) {
-  if (!on_right_device(h)) return kNotInitialized;
-  if (n < 0 || x == nullptr || y == nullptr || result == nullptr)
-    return kInvalidValue;
-  double acc = 0.0;  // fp32 dot accumulates in fp64, as cuBLAS does
-  if (n > 0) {
-    auto p = vector_params("nvblas_sdot", n, 8.0, 2.0);
-    stream_of(h).launch(p, [=, &acc] {
-      const std::int64_t total = total_threads();
-      double partial = 0.0;
-      for (std::int64_t i = tid(); i < n; i += total)
-        partial += static_cast<double>(x[i * incx]) * y[i * incy];
-      simt::atomic_add(&acc, partial);
-    });
-    stream_of(h).synchronize();
-  }
-  *result = static_cast<float>(acc);
-  return kSuccess;
+  return dot(h, "nvblas_sdot", n, x, incx, y, incy, result);
 }
 
 Status sgemm(Handle h, Operation transa, Operation transb, int m, int n, int k,
              const float* alpha, const float* a, int lda, const float* b,
              int ldb, const float* beta, float* c, int ldc) {
-  if (!on_right_device(h)) return kNotInitialized;
-  if (m < 0 || n < 0 || k < 0 || alpha == nullptr || beta == nullptr ||
-      a == nullptr || b == nullptr || c == nullptr)
-    return kInvalidValue;
-  if (lda < (transa == kOpN ? m : k) || ldb < (transb == kOpN ? k : n) ||
-      ldc < m)
-    return kInvalidValue;
-  if (m == 0 || n == 0) return kSuccess;
-  const float al = *alpha, be = *beta;
-
-  simt::LaunchParams p;
-  p.block = {16, 16};
-  p.grid = {static_cast<std::uint32_t>(simt::ceil_div(m, 16)),
-            static_cast<std::uint32_t>(simt::ceil_div(n, 16))};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = "nvblas_sgemm";
-  p.profile.name = "nvblas";
-  p.profile.regs_per_thread = 48;
-  p.cost.flops_per_thread = 2.0 * k * 0.5;  // fp32 full-rate
-  p.cost.global_bytes_per_thread = 4.0 * (2 * k / 16.0 + 2);
-  stream_of(h).launch(p, [=] {
-    const auto& t = simt::this_thread();
-    const int i = static_cast<int>(t.block_idx.x * 16 + t.thread_idx.x);
-    const int j = static_cast<int>(t.block_idx.y * 16 + t.thread_idx.y);
-    if (i >= m || j >= n) return;
-    float sum = 0.0f;
-    for (int l = 0; l < k; ++l) {
-      const float av = transa == kOpN ? a[i + static_cast<std::ptrdiff_t>(l) * lda]
-                                      : a[l + static_cast<std::ptrdiff_t>(i) * lda];
-      const float bv = transb == kOpN ? b[l + static_cast<std::ptrdiff_t>(j) * ldb]
-                                      : b[j + static_cast<std::ptrdiff_t>(l) * ldb];
-      sum += av * bv;
-    }
-    float& out = c[i + static_cast<std::ptrdiff_t>(j) * ldc];
-    out = al * sum + be * out;
-  });
-  stream_of(h).synchronize();
-  return kSuccess;
+  return gemm(h, "nvblas_sgemm", 48, transa, transb, m, n, k, alpha, a, lda, b,
+              ldb, beta, c, ldc);
 }
 
 }  // namespace nvblas

@@ -7,7 +7,10 @@
 // cost declarations.
 //
 // API shape mirrors cuBLAS v2: an opaque handle, status codes, column-
-// major matrices, alpha/beta scaling factors passed by pointer.
+// major matrices, alpha/beta scaling factors passed by pointer. Vector
+// increments (incx, incy) must be positive: a zero or negative increment
+// returns kInvalidValue. The kernel bodies are shared with rocblas
+// (src/blas/kernels.h); only this API surface is nvblas's own.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,6 @@
 #include "blas/vendor_roc.h"
 
-#include <algorithm>
-#include <cmath>
-
+#include "blas/kernels.h"
 #include "simt/simt.h"
 
 namespace rocblas {
@@ -21,35 +19,52 @@ bool valid(const HandleRec* h) {
   return h != nullptr && h->dev == &the_device();
 }
 
-std::int64_t tid() {
-  const auto& t = simt::this_thread();
-  return static_cast<std::int64_t>(t.block_idx.x) * t.block_dim.x +
-         t.thread_idx.x;
-}
-std::int64_t total_threads() {
-  const auto& t = simt::this_thread();
-  return static_cast<std::int64_t>(t.grid_dim.count() * t.block_dim.count());
+/// Where and as what a rocblas kernel launches on the handle's stream.
+blas_kernels::Launch on(HandleRec* h, const char* name, int regs = 28) {
+  simt::Stream& s =
+      h->stream != nullptr ? *h->stream : h->dev->default_stream();
+  return {s, name, "rocblas", regs};
 }
 
-simt::Stream& stream_of(HandleRec* h) {
-  return h->stream != nullptr ? *h->stream : h->dev->default_stream();
+bool transposed(Operation o) { return o != Operation::kNone; }
+
+template <typename T>
+Status axpy(Handle h, const char* name, int n, T alpha, const T* x, int incx,
+            T* y, int incy) {
+  if (!valid(h)) return Status::kInvalidHandle;
+  if (n < 0 || incx <= 0 || incy <= 0) return Status::kInvalidSize;
+  if (x == nullptr || y == nullptr) return Status::kInvalidPointer;
+  blas_kernels::axpy(on(h, name), n, alpha, x, incx, y, incy);
+  return Status::kSuccess;
 }
 
-simt::LaunchParams vector_params(const char* name, std::int64_t n,
-                                 double bytes_per_elem, double flops_per_elem) {
-  simt::LaunchParams p;
-  const std::uint32_t block = 256;  // 4 wavefronts on CDNA2
-  p.block = {block};
-  p.grid = {static_cast<std::uint32_t>(
-      std::min<std::int64_t>(simt::ceil_div(n, block), 65535))};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = name;
-  p.profile.name = "rocblas";
-  p.profile.regs_per_thread = 28;
-  const double threads = static_cast<double>(p.grid.count()) * block;
-  p.cost.global_bytes_per_thread = bytes_per_elem * n / threads;
-  p.cost.flops_per_thread = flops_per_elem * n / threads;
-  return p;
+template <typename T>
+Status dot(Handle h, const char* name, int n, const T* x, int incx,
+           const T* y, int incy, T* result) {
+  if (!valid(h)) return Status::kInvalidHandle;
+  if (n < 0 || incx <= 0 || incy <= 0) return Status::kInvalidSize;
+  if (x == nullptr || y == nullptr || result == nullptr)
+    return Status::kInvalidPointer;
+  *result =
+      static_cast<T>(blas_kernels::dot(on(h, name), n, x, incx, y, incy));
+  return Status::kSuccess;
+}
+
+template <typename T>
+Status gemm(Handle h, const char* name, int regs, Operation transa,
+            Operation transb, int m, int n, int k, T alpha, const T* a,
+            int lda, const T* b, int ldb, T beta, T* c, int ldc) {
+  if (!valid(h)) return Status::kInvalidHandle;
+  if (m < 0 || n < 0 || k < 0) return Status::kInvalidSize;
+  if (a == nullptr || b == nullptr || c == nullptr)
+    return Status::kInvalidPointer;
+  if (lda < (transposed(transa) ? k : m) ||
+      ldb < (transposed(transb) ? n : k) || ldc < m)
+    return Status::kInvalidSize;
+  blas_kernels::gemm(on(h, name, regs), transposed(transa),
+                     transposed(transb), m, n, k, alpha, a, lda, b, ldb, beta,
+                     c, ldc);
+  return Status::kSuccess;
 }
 
 }  // namespace
@@ -86,231 +101,65 @@ Status set_stream(Handle handle, simt::Stream* stream) {
 
 Status daxpy(Handle h, int n, double alpha, const double* x, int incx,
              double* y, int incy) {
-  if (!valid(h)) return Status::kInvalidHandle;
-  if (n < 0) return Status::kInvalidSize;
-  if (x == nullptr || y == nullptr) return Status::kInvalidPointer;
-  if (n == 0) return Status::kSuccess;
-  auto p = vector_params("rocblas_daxpy", n, 24.0, 2.0);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < n; i += total)
-      y[i * incy] += alpha * x[i * incx];
-  });
-  stream_of(h).synchronize();
-  return Status::kSuccess;
+  return axpy(h, "rocblas_daxpy", n, alpha, x, incx, y, incy);
 }
 
 Status ddot(Handle h, int n, const double* x, int incx, const double* y,
             int incy, double* result) {
-  if (!valid(h)) return Status::kInvalidHandle;
-  if (n < 0) return Status::kInvalidSize;
-  if (x == nullptr || y == nullptr || result == nullptr)
-    return Status::kInvalidPointer;
-  double acc = 0.0;
-  if (n > 0) {
-    auto p = vector_params("rocblas_ddot", n, 16.0, 2.0);
-    stream_of(h).launch(p, [=, &acc] {
-      const std::int64_t total = total_threads();
-      double partial = 0.0;
-      for (std::int64_t i = tid(); i < n; i += total)
-        partial += x[i * incx] * y[i * incy];
-      simt::atomic_add(&acc, partial);
-    });
-    stream_of(h).synchronize();
-  }
-  *result = acc;
-  return Status::kSuccess;
+  return dot(h, "rocblas_ddot", n, x, incx, y, incy, result);
 }
 
 Status dscal(Handle h, int n, double alpha, double* x, int incx) {
   if (!valid(h)) return Status::kInvalidHandle;
-  if (n < 0) return Status::kInvalidSize;
+  if (n < 0 || incx <= 0) return Status::kInvalidSize;
   if (x == nullptr) return Status::kInvalidPointer;
-  if (n == 0) return Status::kSuccess;
-  auto p = vector_params("rocblas_dscal", n, 16.0, 1.0);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < n; i += total) x[i * incx] *= alpha;
-  });
-  stream_of(h).synchronize();
+  blas_kernels::scal(on(h, "rocblas_dscal"), n, alpha, x, incx);
   return Status::kSuccess;
 }
 
 Status dnrm2(Handle h, int n, const double* x, int incx, double* result) {
   if (!valid(h)) return Status::kInvalidHandle;
-  if (n < 0) return Status::kInvalidSize;
+  if (n < 0 || incx <= 0) return Status::kInvalidSize;
   if (x == nullptr || result == nullptr) return Status::kInvalidPointer;
-  double acc = 0.0;
-  if (n > 0) {
-    auto p = vector_params("rocblas_dnrm2", n, 8.0, 2.0);
-    stream_of(h).launch(p, [=, &acc] {
-      const std::int64_t total = total_threads();
-      double partial = 0.0;
-      for (std::int64_t i = tid(); i < n; i += total) {
-        const double v = x[i * incx];
-        partial += v * v;
-      }
-      simt::atomic_add(&acc, partial);
-    });
-    stream_of(h).synchronize();
-  }
-  *result = std::sqrt(acc);
+  *result = blas_kernels::nrm2(on(h, "rocblas_dnrm2"), n, x, incx);
   return Status::kSuccess;
 }
 
 Status dgemm(Handle h, Operation transa, Operation transb, int m, int n, int k,
              double alpha, const double* a, int lda, const double* b, int ldb,
              double beta, double* c, int ldc) {
-  if (!valid(h)) return Status::kInvalidHandle;
-  if (m < 0 || n < 0 || k < 0) return Status::kInvalidSize;
-  if (a == nullptr || b == nullptr || c == nullptr)
-    return Status::kInvalidPointer;
-  if (lda < (transa == Operation::kNone ? m : k) ||
-      ldb < (transb == Operation::kNone ? k : n) || ldc < m)
-    return Status::kInvalidSize;
-  if (m == 0 || n == 0) return Status::kSuccess;
-
-  simt::LaunchParams p;
-  p.block = {16, 16};
-  p.grid = {static_cast<std::uint32_t>(simt::ceil_div(m, 16)),
-            static_cast<std::uint32_t>(simt::ceil_div(n, 16))};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = "rocblas_dgemm";
-  p.profile.name = "rocblas";
-  p.profile.regs_per_thread = 72;
-  p.cost.flops_per_thread = 2.0 * k;
-  p.cost.global_bytes_per_thread = 8.0 * (2 * k / 16.0 + 2);
-  stream_of(h).launch(p, [=] {
-    const auto& t = simt::this_thread();
-    const int i = static_cast<int>(t.block_idx.x * 16 + t.thread_idx.x);
-    const int j = static_cast<int>(t.block_idx.y * 16 + t.thread_idx.y);
-    if (i >= m || j >= n) return;
-    double sum = 0.0;
-    for (int l = 0; l < k; ++l) {
-      const double av = transa == Operation::kNone
-                            ? a[i + static_cast<std::ptrdiff_t>(l) * lda]
-                            : a[l + static_cast<std::ptrdiff_t>(i) * lda];
-      const double bv = transb == Operation::kNone
-                            ? b[l + static_cast<std::ptrdiff_t>(j) * ldb]
-                            : b[j + static_cast<std::ptrdiff_t>(l) * ldb];
-      sum += av * bv;
-    }
-    double& out = c[i + static_cast<std::ptrdiff_t>(j) * ldc];
-    out = alpha * sum + beta * out;
-  });
-  stream_of(h).synchronize();
-  return Status::kSuccess;
+  return gemm(h, "rocblas_dgemm", 72, transa, transb, m, n, k, alpha, a, lda, b,
+              ldb, beta, c, ldc);
 }
 
 Status dgemv(Handle h, Operation trans, int m, int n, double alpha,
              const double* a, int lda, const double* x, int incx, double beta,
              double* y, int incy) {
   if (!valid(h)) return Status::kInvalidHandle;
-  if (m < 0 || n < 0) return Status::kInvalidSize;
+  if (m < 0 || n < 0 || incx <= 0 || incy <= 0) return Status::kInvalidSize;
   if (a == nullptr || x == nullptr || y == nullptr)
     return Status::kInvalidPointer;
   if (lda < m) return Status::kInvalidSize;
-  const int rows = trans == Operation::kNone ? m : n;
-  const int inner = trans == Operation::kNone ? n : m;
-  if (rows == 0) return Status::kSuccess;
-  auto p = vector_params("rocblas_dgemv", rows, 8.0 * (inner + 2), 2.0 * inner);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < rows; i += total) {
-      double sum = 0.0;
-      for (int l = 0; l < inner; ++l) {
-        const double av = trans == Operation::kNone
-                              ? a[i + static_cast<std::ptrdiff_t>(l) * lda]
-                              : a[l + static_cast<std::ptrdiff_t>(i) * lda];
-        sum += av * x[l * incx];
-      }
-      y[i * incy] = alpha * sum + beta * y[i * incy];
-    }
-  });
-  stream_of(h).synchronize();
+  blas_kernels::gemv(on(h, "rocblas_dgemv"), transposed(trans), m, n, alpha, a,
+                     lda, x, incx, beta, y, incy);
   return Status::kSuccess;
 }
 
 Status saxpy(Handle h, int n, float alpha, const float* x, int incx, float* y,
              int incy) {
-  if (!valid(h)) return Status::kInvalidHandle;
-  if (n < 0) return Status::kInvalidSize;
-  if (x == nullptr || y == nullptr) return Status::kInvalidPointer;
-  if (n == 0) return Status::kSuccess;
-  auto p = vector_params("rocblas_saxpy", n, 12.0, 2.0);
-  stream_of(h).launch(p, [=] {
-    const std::int64_t total = total_threads();
-    for (std::int64_t i = tid(); i < n; i += total)
-      y[i * incy] += alpha * x[i * incx];
-  });
-  stream_of(h).synchronize();
-  return Status::kSuccess;
+  return axpy(h, "rocblas_saxpy", n, alpha, x, incx, y, incy);
 }
 
 Status sdot(Handle h, int n, const float* x, int incx, const float* y,
             int incy, float* result) {
-  if (!valid(h)) return Status::kInvalidHandle;
-  if (n < 0) return Status::kInvalidSize;
-  if (x == nullptr || y == nullptr || result == nullptr)
-    return Status::kInvalidPointer;
-  double acc = 0.0;
-  if (n > 0) {
-    auto p = vector_params("rocblas_sdot", n, 8.0, 2.0);
-    stream_of(h).launch(p, [=, &acc] {
-      const std::int64_t total = total_threads();
-      double partial = 0.0;
-      for (std::int64_t i = tid(); i < n; i += total)
-        partial += static_cast<double>(x[i * incx]) * y[i * incy];
-      simt::atomic_add(&acc, partial);
-    });
-    stream_of(h).synchronize();
-  }
-  *result = static_cast<float>(acc);
-  return Status::kSuccess;
+  return dot(h, "rocblas_sdot", n, x, incx, y, incy, result);
 }
 
 Status sgemm(Handle h, Operation transa, Operation transb, int m, int n, int k,
              float alpha, const float* a, int lda, const float* b, int ldb,
              float beta, float* c, int ldc) {
-  if (!valid(h)) return Status::kInvalidHandle;
-  if (m < 0 || n < 0 || k < 0) return Status::kInvalidSize;
-  if (a == nullptr || b == nullptr || c == nullptr)
-    return Status::kInvalidPointer;
-  if (lda < (transa == Operation::kNone ? m : k) ||
-      ldb < (transb == Operation::kNone ? k : n) || ldc < m)
-    return Status::kInvalidSize;
-  if (m == 0 || n == 0) return Status::kSuccess;
-
-  simt::LaunchParams p;
-  p.block = {16, 16};
-  p.grid = {static_cast<std::uint32_t>(simt::ceil_div(m, 16)),
-            static_cast<std::uint32_t>(simt::ceil_div(n, 16))};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = "rocblas_sgemm";
-  p.profile.name = "rocblas";
-  p.profile.regs_per_thread = 52;
-  p.cost.flops_per_thread = 2.0 * k * 0.5;
-  p.cost.global_bytes_per_thread = 4.0 * (2 * k / 16.0 + 2);
-  stream_of(h).launch(p, [=] {
-    const auto& t = simt::this_thread();
-    const int i = static_cast<int>(t.block_idx.x * 16 + t.thread_idx.x);
-    const int j = static_cast<int>(t.block_idx.y * 16 + t.thread_idx.y);
-    if (i >= m || j >= n) return;
-    float sum = 0.0f;
-    for (int l = 0; l < k; ++l) {
-      const float av = transa == Operation::kNone
-                           ? a[i + static_cast<std::ptrdiff_t>(l) * lda]
-                           : a[l + static_cast<std::ptrdiff_t>(i) * lda];
-      const float bv = transb == Operation::kNone
-                           ? b[l + static_cast<std::ptrdiff_t>(j) * ldb]
-                           : b[j + static_cast<std::ptrdiff_t>(l) * ldb];
-      sum += av * bv;
-    }
-    float& out = c[i + static_cast<std::ptrdiff_t>(j) * ldc];
-    out = alpha * sum + beta * out;
-  });
-  stream_of(h).synchronize();
-  return Status::kSuccess;
+  return gemm(h, "rocblas_sgemm", 52, transa, transb, m, n, k, alpha, a, lda, b,
+              ldb, beta, c, ldc);
 }
 
 }  // namespace rocblas

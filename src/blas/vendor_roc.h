@@ -2,7 +2,9 @@
 // the HIP-shaped device (sim-mi250). Deliberately *not* API-identical
 // to nvblas: rocBLAS passes scalars by value and uses its own status
 // and transpose enums — the ompx wrapper layer (§3.6) exists precisely
-// to paper over such differences.
+// to paper over such differences. Vector increments (incx, incy) must be
+// positive: a zero or negative increment returns Status::kInvalidSize.
+// The kernel bodies are shared with nvblas (src/blas/kernels.h).
 #pragma once
 
 #include <cstddef>

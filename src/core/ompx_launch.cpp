@@ -286,20 +286,7 @@ LaunchResult shard_launch(const LaunchSpec& spec,
   rec.block = base.block;
   double occ_weighted = 0.0;
   for (const simt::LaunchRecord& s : shards) {
-    rec.stats.blocks += s.stats.blocks;
-    rec.stats.threads += s.stats.threads;
-    rec.stats.block_barriers += s.stats.block_barriers;
-    rec.stats.warp_collectives += s.stats.warp_collectives;
-    rec.stats.warp_syncs += s.stats.warp_syncs;
-    rec.stats.atomics += s.stats.atomics;
-    rec.stats.parallel_handshakes += s.stats.parallel_handshakes;
-    rec.stats.workshare_dispatches += s.stats.workshare_dispatches;
-    rec.stats.globalized_bytes += s.stats.globalized_bytes;
-    rec.stats.fibers_created += s.stats.fibers_created;
-    rec.stats.fiber_reuses += s.stats.fiber_reuses;
-    rec.stats.sched_steals += s.stats.sched_steals;
-    rec.stats.sched_lane_loops += s.stats.sched_lane_loops;
-    rec.stats.sched_deflations += s.stats.sched_deflations;
+    rec.stats += s.stats;
     rec.time.compute_ms = std::max(rec.time.compute_ms, s.time.compute_ms);
     rec.time.memory_ms = std::max(rec.time.memory_ms, s.time.memory_ms);
     rec.time.overhead_ms = std::max(rec.time.overhead_ms, s.time.overhead_ms);

@@ -21,20 +21,7 @@ std::uint32_t& dim_axis(simt::Dim3& d, int axis) {
 /// sequentially on one device, not concurrently across devices);
 /// occupancy is blocks-weighted by the caller.
 void accumulate(simt::LaunchRecord& into, const simt::LaunchRecord& rec) {
-  into.stats.blocks += rec.stats.blocks;
-  into.stats.threads += rec.stats.threads;
-  into.stats.block_barriers += rec.stats.block_barriers;
-  into.stats.warp_collectives += rec.stats.warp_collectives;
-  into.stats.warp_syncs += rec.stats.warp_syncs;
-  into.stats.atomics += rec.stats.atomics;
-  into.stats.parallel_handshakes += rec.stats.parallel_handshakes;
-  into.stats.workshare_dispatches += rec.stats.workshare_dispatches;
-  into.stats.globalized_bytes += rec.stats.globalized_bytes;
-  into.stats.fibers_created += rec.stats.fibers_created;
-  into.stats.fiber_reuses += rec.stats.fiber_reuses;
-  into.stats.sched_steals += rec.stats.sched_steals;
-  into.stats.sched_lane_loops += rec.stats.sched_lane_loops;
-  into.stats.sched_deflations += rec.stats.sched_deflations;
+  into.stats += rec.stats;
   into.time.compute_ms += rec.time.compute_ms;
   into.time.memory_ms += rec.time.memory_ms;
   into.time.overhead_ms += rec.time.overhead_ms;

@@ -27,30 +27,13 @@
 #include "simt/dim.h"
 #include "simt/fiber.h"
 #include "simt/kernel.h"
+#include "simt/perf.h"
 #include "simt/shared_arena.h"
 #include "simt/warp.h"
 
 namespace simt {
 
 class Device;
-
-/// Per-launch counters a block accumulates locally and flushes once.
-/// The runtime-emulation fields are incremented by the omp device
-/// runtime layer when it executes inside a kernel.
-struct BlockCounters {
-  std::uint64_t block_barriers = 0;
-  std::uint64_t warp_collectives = 0;
-  std::uint64_t warp_syncs = 0;
-  std::uint64_t atomics = 0;
-  std::uint64_t parallel_handshakes = 0;
-  std::uint64_t workshare_dispatches = 0;
-  std::uint64_t globalized_bytes = 0;
-  // Host-engine diagnostics (never modeled; see LaunchStats).
-  std::uint64_t fibers_created = 0;
-  std::uint64_t fiber_reuses = 0;
-  std::uint64_t sched_lane_loops = 0;
-  std::uint64_t sched_deflations = 0;
-};
 
 namespace detail {
 /// Thrown by a blocking primitive (barrier / warp op / atomic) when the
@@ -117,7 +100,7 @@ class BlockState {
   [[nodiscard]] Device& device() { return device_; }
   [[nodiscard]] const LaunchParams& params() const { return params_; }
   [[nodiscard]] Dim3 block_index() const { return block_idx_; }
-  [[nodiscard]] const BlockCounters& counters() const { return counters_; }
+  [[nodiscard]] const LaunchStats& counters() const { return counters_; }
   [[nodiscard]] std::size_t shared_high_water() const {
     return arena_.high_water();
   }
@@ -166,7 +149,12 @@ class BlockState {
   /// warp's suspended waiters (ascending lane order) on the ready queue.
   void notify_warp_release(WarpState& warp);
 
-  BlockCounters counters_;  // accessed by WarpState on release
+  /// Event counters this block accumulates locally; the launch sums them
+  /// once. The omp device runtime layer increments the runtime-emulation
+  /// counters when it executes inside a kernel. blocks, threads and
+  /// sched_steals are per-launch and stay zero here. Accessed by
+  /// WarpState on release.
+  LaunchStats counters_;
 
  private:
   // kDone doubles as the thread-lifecycle terminal state so the

@@ -305,20 +305,12 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
 LaunchStats Device::run_blocks(const LaunchParams& params,
                                const KernelFn& kernel) {
   LaunchStats stats;
-  stats.blocks = params.grid.count();
-  stats.threads = stats.blocks * params.block.count();
-  stats.runtime_init = params.rt.runtime_init;
-  stats.generic_mode = params.rt.generic_mode;
-  stats.spill_in_shared = params.rt.spill_in_shared;
-
-  BlockCounters total;
-  std::uint64_t steals_total = 0;
   const std::uint64_t nblocks = params.grid.count();
   const unsigned workers = std::max(
       1u, opts_.workers != 0 ? opts_.workers
                              : std::thread::hardware_concurrency());
   auto run_range = [&](std::uint64_t begin, std::uint64_t end,
-                       BlockCounters& acc) {
+                       LaunchStats& acc) {
     for (std::uint64_t b = begin; b < end; ++b) {
       Dim3 idx = params.grid.delinearize(b);
       idx.x += params.grid_offset.x;
@@ -326,22 +318,11 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
       idx.z += params.grid_offset.z;
       BlockState block(*this, params, idx, kernel, thread_fiber_pool());
       block.run();
-      const BlockCounters& c = block.counters();
-      acc.block_barriers += c.block_barriers;
-      acc.warp_collectives += c.warp_collectives;
-      acc.warp_syncs += c.warp_syncs;
-      acc.atomics += c.atomics;
-      acc.parallel_handshakes += c.parallel_handshakes;
-      acc.workshare_dispatches += c.workshare_dispatches;
-      acc.globalized_bytes += c.globalized_bytes;
-      acc.fibers_created += c.fibers_created;
-      acc.fiber_reuses += c.fiber_reuses;
-      acc.sched_lane_loops += c.sched_lane_loops;
-      acc.sched_deflations += c.sched_deflations;
+      acc += block.counters();
     }
   };
   if (workers == 1 || nblocks < 2) {
-    run_range(0, nblocks, total);
+    run_range(0, nblocks, stats);
   } else {
     // Blocks are independent (CUDA semantics: no inter-block ordering),
     // so workers pull chunks from a shared atomic queue instead of a
@@ -357,8 +338,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
             ? opts_.steal_chunk_blocks
             : std::max<std::uint64_t>(1, nblocks / (8ull * n));
     std::atomic<std::uint64_t> next{0};
-    std::vector<BlockCounters> accs(n);
-    std::vector<std::uint64_t> steals(n, 0);
+    std::vector<LaunchStats> accs(n);
     std::vector<std::exception_ptr> errs(n);
     std::vector<std::thread> pool;
     pool.reserve(n);
@@ -370,7 +350,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
             const std::uint64_t b0 =
                 next.fetch_add(chunk, std::memory_order_relaxed);
             if (b0 >= nblocks) break;
-            if (!first) steals[w]++;
+            if (!first) accs[w].sched_steals++;
             first = false;
             run_range(b0, std::min(nblocks, b0 + chunk), accs[w]);
           }
@@ -383,32 +363,14 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
     for (auto& t : pool) t.join();
     for (unsigned w = 0; w < n; ++w) {
       if (errs[w]) std::rethrow_exception(errs[w]);
-      total.block_barriers += accs[w].block_barriers;
-      total.warp_collectives += accs[w].warp_collectives;
-      total.warp_syncs += accs[w].warp_syncs;
-      total.atomics += accs[w].atomics;
-      total.parallel_handshakes += accs[w].parallel_handshakes;
-      total.workshare_dispatches += accs[w].workshare_dispatches;
-      total.globalized_bytes += accs[w].globalized_bytes;
-      total.fibers_created += accs[w].fibers_created;
-      total.fiber_reuses += accs[w].fiber_reuses;
-      total.sched_lane_loops += accs[w].sched_lane_loops;
-      total.sched_deflations += accs[w].sched_deflations;
-      steals_total += steals[w];
+      stats += accs[w];
     }
   }
-  stats.block_barriers = total.block_barriers;
-  stats.warp_collectives = total.warp_collectives;
-  stats.warp_syncs = total.warp_syncs;
-  stats.atomics = total.atomics;
-  stats.parallel_handshakes = total.parallel_handshakes;
-  stats.workshare_dispatches = total.workshare_dispatches;
-  stats.globalized_bytes = total.globalized_bytes;
-  stats.fibers_created = total.fibers_created;
-  stats.fiber_reuses = total.fiber_reuses;
-  stats.sched_steals = steals_total;
-  stats.sched_lane_loops = total.sched_lane_loops;
-  stats.sched_deflations = total.sched_deflations;
+  stats.blocks = nblocks;
+  stats.threads = stats.blocks * params.block.count();
+  stats.runtime_init = params.rt.runtime_init;
+  stats.generic_mode = params.rt.generic_mode;
+  stats.spill_in_shared = params.rt.spill_in_shared;
   return stats;
 }
 

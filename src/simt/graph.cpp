@@ -214,13 +214,7 @@ LaunchStats Graph::run_cached(std::size_t i) {
   for (auto& block : cached_blocks_[i]) {
     block->reset_for_replay();
     block->run();
-    const BlockCounters& c = block->counters();
-    stats.atomics += c.atomics;
-    stats.parallel_handshakes += c.parallel_handshakes;
-    stats.workshare_dispatches += c.workshare_dispatches;
-    stats.globalized_bytes += c.globalized_bytes;
-    // Direct-mode blocks cannot reach barriers, warp rendezvous, or the
-    // fiber machinery, so the remaining counters are always zero here.
+    stats += block->counters();
   }
   return stats;
 }

@@ -97,6 +97,29 @@ struct LaunchStats {
                                        ///< collective and restarted on a fiber
 
   void reset() { *this = LaunchStats{}; }
+
+  /// Sums every event counter of `o` into this record: the one place
+  /// blocks fold into a launch, workers into a launch, and shards or
+  /// chunks into a request. The flags (runtime_init, generic_mode,
+  /// spill_in_shared) describe how a launch was configured, not events,
+  /// so they are left unchanged.
+  LaunchStats& operator+=(const LaunchStats& o) {
+    blocks += o.blocks;
+    threads += o.threads;
+    block_barriers += o.block_barriers;
+    warp_collectives += o.warp_collectives;
+    warp_syncs += o.warp_syncs;
+    atomics += o.atomics;
+    parallel_handshakes += o.parallel_handshakes;
+    workshare_dispatches += o.workshare_dispatches;
+    globalized_bytes += o.globalized_bytes;
+    fibers_created += o.fibers_created;
+    fiber_reuses += o.fiber_reuses;
+    sched_steals += o.sched_steals;
+    sched_lane_loops += o.sched_lane_loops;
+    sched_deflations += o.sched_deflations;
+    return *this;
+  }
 };
 
 /// Result of the analytic model, all in milliseconds.
