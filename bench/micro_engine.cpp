@@ -334,10 +334,11 @@ int emit_json(const std::string& path) {
 
   // Async engine: a launch-bound iteration (16 tiny kernels, the Adam /
   // Stencil-1D shape) submitted three ways. (a) uncaptured async
-  // launches — each submission pays validation, exec-policy lookup,
-  // record assembly and a launch-log push; (b) graph replay — the same
-  // 16 kernels captured once, instantiated, then re-issued as a single
-  // stream op whose nodes skip all per-launch setup; (c) the same op
+  // launches — each submission pays validation, exec-policy lookup and
+  // a launch-log push; (b) graph replay — the same 16 kernels captured
+  // once, instantiated, then re-issued as a single stream op whose
+  // nodes skip that per-launch setup but still build and run fresh
+  // blocks, as every launch does; (c) the same op
   // count split across two independent streams to show real host-side
   // overlap from the worker pool.
   simt::Device adev(simt::make_sim_a100_config());

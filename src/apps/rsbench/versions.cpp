@@ -90,16 +90,6 @@ struct DeviceData {
 
 constexpr int kBlock = 128;
 
-/// XOR-accumulate a lookup's hash contribution (order independent).
-void xor_into(std::uint64_t* hash, std::uint64_t contrib) {
-  std::uint64_t seen = *hash;
-  while (true) {
-    const std::uint64_t prev = simt::atomic_cas(hash, seen, seen ^ contrib);
-    if (prev == seen) break;
-    seen = prev;
-  }
-}
-
 std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
   using namespace kl;
   check(klSetDevice(dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1),
@@ -159,8 +149,8 @@ std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
            const int arg = lookup_one(static_cast<std::uint64_t>(i), dd.poles,
                                       dd.windows, dd.k0rs, dd.num_nucs,
                                       dd.mats, dd.concs, opt, scratch);
-           xor_into(hash, mix64(static_cast<std::uint64_t>(i) ^
-                                (static_cast<std::uint64_t>(arg) + 1)));
+           atomicXor(hash, mix64(static_cast<std::uint64_t>(i) ^
+                                 (static_cast<std::uint64_t>(arg) + 1)));
          }),
       "rsbench_event launch");
   check(klDeviceSynchronize(), "klDeviceSynchronize");
@@ -212,8 +202,8 @@ std::uint64_t run_ompx(const SimulationData& d, simt::Device& dev) {
     const int arg =
         lookup_one(static_cast<std::uint64_t>(i), dd.poles, dd.windows,
                    dd.k0rs, dd.num_nucs, dd.mats, dd.concs, opt, scratch);
-    xor_into(hash, mix64(static_cast<std::uint64_t>(i) ^
-                         (static_cast<std::uint64_t>(arg) + 1)));
+    simt::atomic_xor(hash, mix64(static_cast<std::uint64_t>(i) ^
+                                 (static_cast<std::uint64_t>(arg) + 1)));
   }).wait();
   const std::uint64_t h = *hash;
   for (void* p :
@@ -257,8 +247,8 @@ std::uint64_t run_omp(const SimulationData& d, simt::Device& dev) {
       const int arg =
           lookup_one(static_cast<std::uint64_t>(i), dd.poles, dd.windows,
                      dd.k0rs, dd.num_nucs, dd.mats, dd.concs, opt, scratch);
-      xor_into(hash, mix64(static_cast<std::uint64_t>(i) ^
-                           (static_cast<std::uint64_t>(arg) + 1)));
+      simt::atomic_xor(hash, mix64(static_cast<std::uint64_t>(i) ^
+                                   (static_cast<std::uint64_t>(arg) + 1)));
     };
   });
   return h;

@@ -384,6 +384,8 @@ T atomicMin(T* addr, T v) { return simt::atomic_min(addr, v); }
 template <typename T>
 T atomicExch(T* addr, T v) { return simt::atomic_exchange(addr, v); }
 template <typename T>
+T atomicXor(T* addr, T v) { return simt::atomic_xor(addr, v); }
+template <typename T>
 T atomicCAS(T* addr, T expected, T desired) {
   return simt::atomic_cas(addr, expected, desired);
 }

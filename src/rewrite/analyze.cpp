@@ -66,7 +66,7 @@ const std::unordered_set<std::string>& atomic_tokens() {
       "atomicAdd", "atomicSub", "atomicMax", "atomicMin", "atomicExch",
       "atomicCAS", "atomicAnd", "atomicOr", "atomicXor", "atomic_add",
       "atomic_sub", "atomic_max", "atomic_min", "atomic_exch", "atomic_cas",
-      "atomic_ref",
+      "atomic_xor", "atomic_ref",
   };
   return s;
 }

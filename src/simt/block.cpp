@@ -110,18 +110,6 @@ void BlockState::run() {
   }
 }
 
-void BlockState::reset_for_replay() {
-  if (params_.mode != ExecMode::kDirect)
-    throw std::logic_error(
-        "BlockState::reset_for_replay: direct-mode blocks only");
-  live_ = nthreads_;
-  counters_ = LaunchStats{};
-  arena_.reset();
-  shared_vars_.clear();
-  std::fill(shared_alloc_ordinal_.begin(), shared_alloc_ordinal_.end(), 0);
-  san_shadow_.clear();
-}
-
 void BlockState::run_direct() {
   for (std::uint32_t i = 0; i < nthreads_; ++i) {
     t_ctx = &ctxs_[i];

@@ -56,15 +56,6 @@ class BlockState {
   /// Runs every thread of the block to completion.
   void run();
 
-  /// Rewinds per-run state (live count, counters, shared arena, shared
-  /// variable funnel) so run() can execute again over the same
-  /// construction. Graph replay caches direct-mode BlockStates across
-  /// replays because construction — warps, thread contexts, ordinal
-  /// vectors — dominates the per-launch cost of a launch-bound graph.
-  /// Only valid for ExecMode::kDirect: cooperative runs retire fiber
-  /// and scheduler state that a reset does not restore.
-  void reset_for_replay();
-
   // --- device-side primitives, called from kernel code via ThreadCtx ---
 
   /// Block-wide barrier (__syncthreads / ompx_sync_thread_block).

@@ -243,19 +243,26 @@ void Device::validate(const LaunchParams& p) const {
         std::to_string(cfg_.smem_per_block_max));
 }
 
-LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
-                                 const KernelFn& kernel) {
-  validate(caller_params);
-  const auto t0 = std::chrono::steady_clock::now();
-
+void Device::prepare_launch(LaunchParams& params) const {
+  validate(params);
   // Stamp the resolved lane-execution mode once per launch; every block
   // of this launch (and the record/trace span) sees the same decision.
-  LaunchParams params = caller_params;
-  params.lane_exec = resolve_lane_exec(caller_params);
+  params.lane_exec = resolve_lane_exec(params);
   if (params.lane_exec == LaneExec::kConvergent &&
       exec_hint(params.name).atomics_ok)
     params.inline_atomics = true;
+}
 
+LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
+                                 const KernelFn& kernel) {
+  LaunchParams params = caller_params;
+  prepare_launch(params);
+  return run_launch(params, kernel);
+}
+
+LaunchRecord Device::run_launch(const LaunchParams& params,
+                                const KernelFn& kernel) {
+  const auto t0 = std::chrono::steady_clock::now();
   const LaunchStats stats = run_blocks(params, kernel);
 
   LaunchRecord rec;
@@ -286,19 +293,8 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
   // Stream kernels are spanned by the executor (it knows the stream
   // track and modeled start); only direct host-synchronous launches
   // record here, on the device's sync track.
-  if (profiling_enabled() && !telemetry_detail::t_in_stream_op) {
-    TraceSpan span;
-    span.kind = SpanKind::kKernel;
-    span.name = rec.name;
-    span.dur_ms = rec.time.total_ms;
-    span.wall_ms = rec.wall_ms;
-    span.grid = rec.grid;
-    span.block = rec.block;
-    span.exec_mode = rec.exec_mode;
-    span.stats = rec.stats;
-    span.time = rec.time;
-    Profiler::instance().record(*this, span);
-  }
+  if (profiling_enabled() && !telemetry_detail::t_in_stream_op)
+    Profiler::instance().record(*this, kernel_span(rec));
   return rec;
 }
 

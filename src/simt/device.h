@@ -254,10 +254,20 @@ class Device {
   /// Resolves a launch's LaneExec request (per-launch > engine options
   /// > OMPX_EXEC policy + hint registry) to kFiber or kConvergent.
   [[nodiscard]] LaneExec resolve_lane_exec(const LaunchParams& params) const;
-  /// The block-execution core of launch_sync (grid fan-out over the
-  /// work-stealing launch pool, folded counters). Shared with graph
-  /// replay, which skips the per-launch setup around it — callers own
-  /// validation, lane-exec resolution, timing, logging, telemetry.
+
+  /// launch_sync = prepare_launch + run_launch. The stream executor
+  /// prepares each live kernel op when it runs; a graph prepares its
+  /// kernel nodes once, at instantiate, and replays only the run step.
+  ///
+  /// Prepare: validates the configuration and stamps the resolved
+  /// lane-execution mode (and inline atomics) into `params`.
+  void prepare_launch(LaunchParams& params) const;
+  /// Run: executes prepared params, models the launch, applies the
+  /// modeled-time watchdog, logs the record (unless params.log is
+  /// false) and spans it on the sync track outside stream ops.
+  LaunchRecord run_launch(const LaunchParams& params, const KernelFn& kernel);
+  /// The block-execution core of run_launch (grid fan-out over the
+  /// work-stealing launch pool, folded counters).
   [[nodiscard]] LaunchStats run_blocks(const LaunchParams& params,
                                        const KernelFn& kernel);
 

@@ -4,14 +4,13 @@
 // launches, async copies/memsets, stream-ordered allocs/frees, host
 // callbacks, event records/waits — captured between
 // Stream::begin_capture() and Stream::end_capture(). instantiate()
-// bakes the per-op setup that a normal launch pays every time
-// (configuration validation, lane-exec resolution, span-name assembly);
-// replay (Stream::launch_graph) then re-issues the whole sequence as a
-// single stream op whose kernel nodes go straight to the block runner
-// (Device::run_blocks), skipping per-launch validation, exec-policy
-// lookup, record-string assembly, and launch-log pushes. That is what
-// makes replay of a launch-bound iteration (Adam, Stencil-1D) several
-// times cheaper than re-submitting the launches individually.
+// pays once the per-launch prepare step a live kernel op pays every
+// time it runs (configuration validation, lane-exec resolution —
+// Device::prepare_launch). Replay (Stream::launch_graph) then re-issues
+// the whole sequence as a single stream op whose nodes run through the
+// executor's one per-op body (StreamExecutor::run_op), the same code a
+// live op takes; kernel nodes go straight to the run step
+// (Device::run_launch), including its modeled-time watchdog.
 //
 // Semantics (deliberately CUDA-faithful):
 //  - malloc_async during capture allocates immediately; the graph owns
@@ -31,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -39,8 +37,6 @@
 #include "simt/stream.h"
 
 namespace simt {
-
-class BlockState;
 
 class Graph {
  public:
@@ -61,12 +57,12 @@ class Graph {
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::vector<NodeInfo> nodes() const;
 
-  /// Bakes per-node setup: validates every kernel configuration,
-  /// resolves and pins each kernel's lane-execution mode, pre-assembles
-  /// span names, and checks that captured event references are still
-  /// alive. Idempotent; replay calls it automatically if the caller
-  /// has not. Throws std::invalid_argument on a node that can no
-  /// longer execute (e.g. a destroyed event).
+  /// Prepares every kernel node once (Device::prepare_launch:
+  /// configuration check, pinned lane-execution mode) and checks that
+  /// captured event references are still alive. Idempotent; replay
+  /// calls it automatically if the caller has not. Throws
+  /// std::invalid_argument on a node that can no longer execute (e.g. a
+  /// destroyed event).
   void instantiate();
   [[nodiscard]] bool instantiated() const;
 
@@ -90,29 +86,16 @@ class Graph {
     std::uint64_t chain_flow_id = 0;  ///< incoming arrow from the
                                       ///< previous replay (0 = first)
   };
-  /// Executes every node on an executor worker, advancing `s`'s modeled
-  /// timeline once at the end. Serialized per graph.
-  ReplayExtent execute_on(Stream& s);
+  /// Runs every node through StreamExecutor::run_op on an executor
+  /// worker, advancing the modeled cursor `ts` from the stream's ready
+  /// time. Serialized per graph.
+  ReplayExtent execute_on(Stream& s, double& ts);
 
   void instantiate_locked();
-
-  /// Replays node `i` over its cached BlockStates (reset + run, one
-  /// block at a time). Only called for nodes instantiate() cached.
-  [[nodiscard]] LaunchStats run_cached(std::size_t i);
 
   Device& dev_;
   std::uint64_t uid_;
   std::vector<StreamOp> nodes_;
-  std::vector<std::string> span_names_;  // per node, baked at instantiate
-  std::vector<std::string> exec_modes_;  // kernel nodes' resolved mode
-  // Direct-mode kernel nodes with small grids keep their BlockStates
-  // across replays: block construction (warp states, thread contexts,
-  // ordinal vectors) is the dominant per-launch cost of a launch-bound
-  // graph, and a reset is ~free. Indexed like nodes_; an empty inner
-  // vector means the node replays through Device::run_blocks. The
-  // cached BlockStates hold references into nodes_ (params/kernel),
-  // which is stable after capture ends.
-  std::vector<std::vector<std::unique_ptr<BlockState>>> cached_blocks_;
   std::vector<void*> owned_allocs_;
   mutable std::mutex run_mu_;  // serializes replays and instantiation
   bool instantiated_ = false;

@@ -21,6 +21,16 @@ std::size_t round_up(std::size_t v, std::size_t a) {
 }
 }  // namespace
 
+const char* copy_kind_label(CopyKind kind) {
+  switch (kind) {
+    case CopyKind::kHostToDevice: return "memcpy H2D";
+    case CopyKind::kDeviceToHost: return "memcpy D2H";
+    case CopyKind::kDeviceToDevice: return "memcpy D2D";
+    case CopyKind::kHostToHost: return "memcpy H2H";
+  }
+  return "memcpy";
+}
+
 DeviceMemory::~DeviceMemory() {
   std::lock_guard lock(mu_);
   for (auto& [base, info] : allocs_) {

@@ -30,6 +30,9 @@ namespace simt {
 
 enum class CopyKind { kHostToDevice, kDeviceToHost, kDeviceToDevice, kHostToHost };
 
+/// Trace/enumeration label of a copy: "memcpy H2D", "memcpy D2H", ...
+const char* copy_kind_label(CopyKind kind);
+
 /// Fill patterns (AddressSanitizer-style conventions).
 inline constexpr unsigned char kRedzonePattern = 0xAB;  ///< guard bands
 inline constexpr unsigned char kFreePattern = 0xDD;     ///< freed payload

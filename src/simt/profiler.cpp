@@ -70,6 +70,20 @@ struct EnvActivation {
 
 }  // namespace
 
+TraceSpan kernel_span(const LaunchRecord& rec) {
+  TraceSpan span;
+  span.kind = SpanKind::kKernel;
+  span.name = rec.name;
+  span.dur_ms = rec.time.total_ms;
+  span.wall_ms = rec.wall_ms;
+  span.grid = rec.grid;
+  span.block = rec.block;
+  span.exec_mode = rec.exec_mode;
+  span.stats = rec.stats;
+  span.time = rec.time;
+  return span;
+}
+
 const char* span_kind_name(SpanKind k) {
   switch (k) {
     case SpanKind::kKernel: return "kernel";
@@ -165,7 +179,8 @@ void Profiler::record(const Device& dev, TraceSpan span) {
     case SpanKind::kHostFn:
       break;
   }
-  counters_.host_wall_ms += span.wall_ms;
+  // A replay's umbrella wall time is its nodes', which count themselves.
+  if (span.kind != SpanKind::kGraph) counters_.host_wall_ms += span.wall_ms;
   spans_.push_back(std::move(span));
 }
 

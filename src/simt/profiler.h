@@ -75,6 +75,12 @@ struct TraceSpan {
   ModeledTime time;
 };
 
+struct LaunchRecord;
+
+/// The kernel slice of a completed launch: name, modeled duration, host
+/// wall time, geometry and counters. The caller places it (track, ts).
+[[nodiscard]] TraceSpan kernel_span(const LaunchRecord& rec);
+
 /// Process-wide aggregation over every span recorded since the last
 /// reset — the counters registry layered APIs expose.
 struct ProfilerCounters {
@@ -106,7 +112,7 @@ namespace telemetry_detail {
 extern std::atomic<bool> g_enabled;
 /// True on an executor thread while it runs a stream op: the executor
 /// records the span itself (it knows the stream track and modeled
-/// start), so the inner launch_sync/add_transfer must not double-record.
+/// start), so the inner run_launch/add_transfer must not double-record.
 extern constinit thread_local bool t_in_stream_op;
 }  // namespace telemetry_detail
 

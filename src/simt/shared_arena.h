@@ -36,15 +36,6 @@ class SharedArena {
   }
   [[nodiscard]] std::size_t dynamic_size() const { return dynamic_bytes_; }
 
-  /// Rewinds the allocation cursor to the start of the static segment
-  /// for another run over the same block (graph replay reuses
-  /// BlockStates instead of rebuilding them). The backing store, if
-  /// already materialized, is kept.
-  void reset() {
-    offset_ = dynamic_bytes_;
-    high_water_ = dynamic_bytes_;
-  }
-
   [[nodiscard]] std::size_t used() const { return offset_; }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
   [[nodiscard]] std::size_t high_water() const { return high_water_; }

@@ -20,7 +20,7 @@ namespace simt {
 namespace {
 
 /// Marks the executor thread as inside a stream op so the inner
-/// launch_sync / add_transfer does not double-record: the executor
+/// run_launch / add_transfer does not double-record: the executor
 /// records the span itself, with the stream track and modeled start.
 struct ScopedStreamOp {
   bool prev;
@@ -29,16 +29,6 @@ struct ScopedStreamOp {
   }
   ~ScopedStreamOp() { telemetry_detail::t_in_stream_op = prev; }
 };
-
-const char* copy_kind_label(CopyKind k) {
-  switch (k) {
-    case CopyKind::kHostToDevice: return "memcpy H2D";
-    case CopyKind::kDeviceToHost: return "memcpy D2H";
-    case CopyKind::kDeviceToDevice: return "memcpy D2D";
-    case CopyKind::kHostToHost: return "memcpy H2H";
-  }
-  return "memcpy";
-}
 
 /// Flow-arrow id linking an event's record slice to the waits that
 /// observed that recording (generation 0 = never recorded, no arrow).
@@ -740,31 +730,38 @@ void StreamExecutor::execute(Stream& s, Op& op) {
     const double ms = FaultInjector::instance().stall_ms();
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   }
+  ScopedStreamOp in_stream_op;
+  // A live kernel op is prepared when it runs, as launch_sync would;
+  // graph kernel nodes were prepared once, at instantiate.
+  if (op.kind == Op::Kind::kKernel) dev_.prepare_launch(op.params);
+  double ts;
+  {
+    std::lock_guard lock(mu_);
+    ts = s.modeled_ready_ms_;
+  }
+  run_op(s, op, ts);
+  std::lock_guard lock(mu_);
+  s.modeled_ready_ms_ = ts;
+}
+
+void StreamExecutor::run_op(Stream& s, Op& op, double& ts) {
   // Tracing-off cost on this path: this one relaxed load.
   const bool prof = profiling_enabled();
-  ScopedStreamOp in_stream_op;
   TraceSpan span;
+  span.ts_ms = ts;
   std::chrono::steady_clock::time_point t0;
   if (prof) t0 = std::chrono::steady_clock::now();
+  const char* name = "";  // span name of a non-kernel op
+  LaunchRecord rec;
 
   switch (op.kind) {
     case Op::Kind::kKernel: {
-      const LaunchRecord rec = dev_.launch_sync(op.params, op.kernel);
-      if (op.on_complete) op.on_complete(rec);
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += rec.time.total_ms;
+      rec = dev_.run_launch(op.params, op.kernel);
       if (prof) {
-        span.kind = SpanKind::kKernel;
-        span.name = rec.name;
-        span.dur_ms = rec.time.total_ms;
-        span.wall_ms = rec.wall_ms;
-        span.grid = rec.grid;
-        span.block = rec.block;
-        span.exec_mode = rec.exec_mode;
-        span.stats = rec.stats;
-        span.time = rec.time;
+        span = kernel_span(rec);
+        span.ts_ms = ts;
       }
+      ts += rec.time.total_ms;
       break;
     }
     case Op::Kind::kMemcpy: {
@@ -776,58 +773,43 @@ void StreamExecutor::execute(Stream& s, Op& op) {
       if (op.copy_kind != CopyKind::kDeviceToDevice &&
           op.copy_kind != CopyKind::kHostToHost)
         dev_.add_transfer(op.bytes);
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += ms;
-      if (prof) {
-        span.kind = SpanKind::kMemcpy;
-        span.name = copy_kind_label(op.copy_kind);
-        span.dur_ms = ms;
-        span.bytes = op.bytes;
-      }
+      ts += ms;
+      span.kind = SpanKind::kMemcpy;
+      name = copy_kind_label(op.copy_kind);
+      span.dur_ms = ms;
+      span.bytes = op.bytes;
       break;
     }
     case Op::Kind::kMemset: {
       dev_.memory().set(op.dst, op.value, op.bytes);
       const double ms =
           static_cast<double>(op.bytes) / (dev_.config().mem_bw_gbps * 1e6);
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += ms;
-      if (prof) {
-        span.kind = SpanKind::kMemset;
-        span.name = "memset";
-        span.dur_ms = ms;
-        span.bytes = op.bytes;
-      }
+      ts += ms;
+      span.kind = SpanKind::kMemset;
+      name = "memset";
+      span.dur_ms = ms;
+      span.bytes = op.bytes;
       break;
     }
     case Op::Kind::kAlloc:
     case Op::Kind::kFree: {
-      // The memory work happened at enqueue time (pool acquire/release);
-      // executing the op charges the modeled sliver and leaves a span.
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += kAllocModelMs;
-      if (prof) {
-        span.kind = op.kind == Op::Kind::kAlloc ? SpanKind::kAlloc
-                                                : SpanKind::kFree;
-        span.name = op.kind == Op::Kind::kFree ? "free_async"
-                    : op.pool_hit              ? "malloc_async (pooled)"
-                                               : "malloc_async";
-        span.dur_ms = kAllocModelMs;
-        span.bytes = op.bytes;
-      }
+      // The memory work happened at enqueue time (pool acquire/release,
+      // or capture, which pins one address for every replay); executing
+      // the op charges the modeled sliver and leaves a span.
+      ts += kAllocModelMs;
+      span.kind = op.kind == Op::Kind::kAlloc ? SpanKind::kAlloc
+                                              : SpanKind::kFree;
+      name = op.kind == Op::Kind::kFree ? "free_async"
+             : op.pool_hit              ? "malloc_async (pooled)"
+                                        : "malloc_async";
+      span.dur_ms = kAllocModelMs;
+      span.bytes = op.bytes;
       break;
     }
     case Op::Kind::kHostFn: {
       op.fn();
-      if (prof) {
-        std::lock_guard lock(mu_);
-        span.kind = SpanKind::kHostFn;
-        span.name = "host-fn";
-        span.ts_ms = s.modeled_ready_ms_;  // instantaneous on the model
-      }
+      span.kind = SpanKind::kHostFn;  // instantaneous on the model
+      name = "host-fn";
       break;
     }
     case Op::Kind::kEventRecord: {
@@ -835,58 +817,51 @@ void StreamExecutor::execute(Stream& s, Op& op) {
       op.event->recorded_ = true;
       op.event->pending_ = false;
       op.event->generation_++;
-      op.event->modeled_ms_ = s.modeled_ready_ms_;
-      if (prof) {
-        span.kind = SpanKind::kEventRecord;
-        span.name = "event record";
-        span.ts_ms = s.modeled_ready_ms_;
-        span.flow_id =
-            event_flow_id(op.event->uid_, op.event->generation_);
-        span.flow_out = true;
-      }
+      op.event->modeled_ms_ = ts;
+      span.kind = SpanKind::kEventRecord;
+      name = "event record";
+      span.flow_id = event_flow_id(op.event->uid_, op.event->generation_);
+      span.flow_out = true;
       cv_complete_.notify_all();
       break;
     }
     case Op::Kind::kEventWait: {
+      // The executor only runs a wait whose event is recorded; inside a
+      // graph replay the captured order already encodes one legal
+      // interleaving. Either way the wait maxes the modeled timeline.
       std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ =
-          std::max(s.modeled_ready_ms_, op.event->modeled_ms_);
-      if (prof) {
-        span.kind = SpanKind::kEventWait;
-        span.name = "event wait";
-        // The stall the wait imposed on this stream's timeline.
-        span.dur_ms = s.modeled_ready_ms_ - span.ts_ms;
-        span.flow_id =
-            event_flow_id(op.event->uid_, op.event->generation_);
-      }
+      ts = std::max(ts, op.event->modeled_ms_);
+      span.kind = SpanKind::kEventWait;
+      name = "event wait";
+      span.dur_ms = ts - span.ts_ms;  // the stall imposed on this stream
+      span.flow_id = event_flow_id(op.event->uid_, op.event->generation_);
       break;
     }
     case Op::Kind::kGraph: {
-      const Graph::ReplayExtent ext = op.graph->execute_on(s);
-      if (prof) {
-        span.kind = SpanKind::kGraph;
-        span.name = "graph replay";
-        span.ts_ms = ext.start_ms;
-        span.dur_ms = ext.end_ms - ext.start_ms;
-        // Destination of the previous replay's fence arrow: chained
-        // replays are visually linked across stream tracks.
-        span.flow_id = ext.chain_flow_id;
-        span.flow_out = false;
-      }
+      const Graph::ReplayExtent ext = op.graph->execute_on(s, ts);
+      span.kind = SpanKind::kGraph;
+      name = "graph replay";
+      span.dur_ms = ext.end_ms - ext.start_ms;
+      // Destination of the previous replay's fence arrow: chained
+      // replays are visually linked across stream tracks.
+      span.flow_id = ext.chain_flow_id;
       break;
     }
   }
 
   if (prof) {
     span.track = s.id_ + 1;  // track 0 is the host-sync track
-    span.wall_ms = span.kind == SpanKind::kKernel
-                       ? span.wall_ms
-                       : std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
+    if (span.kind != SpanKind::kKernel) {  // kernel_span filled these
+      span.name = name;
+      span.wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    }
     Profiler::instance().record(dev_, span);  // outside mu_: no lock nesting
   }
+  // After the span: a caller woken by the completion (an ompx ticket's
+  // wait) must find the launch already counted by the profiler.
+  if (op.kind == Op::Kind::kKernel && op.on_complete) op.on_complete(rec);
 }
 
 void StreamExecutor::synchronize_all() {

@@ -158,8 +158,8 @@ class Stream {
   [[nodiscard]] bool capturing() const;
 
   /// Enqueue a replay of `g` (cudaGraphLaunch): the captured op
-  /// sequence re-executes as a single stream op, skipping per-launch
-  /// setup (validation, exec-mode resolution, record assembly).
+  /// sequence re-executes as a single stream op, skipping the
+  /// per-launch prepare step (validation, exec-mode resolution).
   /// Instantiates the graph first if the caller has not.
   void launch_graph(Graph& g);
 
@@ -267,7 +267,15 @@ class StreamExecutor {
   /// already in flight, or nullptr.
   Stream* pick_ready_locked();
   [[nodiscard]] bool head_blocked_locked(const Stream& s) const;
-  void execute(Stream& s, Op& op);  // runs without the lock where possible
+  /// One op as a worker runs it: the injected-stall fault site, the
+  /// in-stream-op telemetry scope, live kernel preparation, and the
+  /// stream's modeled timeline around run_op. A graph replay is one op.
+  void execute(Stream& s, Op& op);
+  /// The one per-op body, shared by live ops and graph replay nodes:
+  /// performs the op, advances the modeled cursor `ts`, records its
+  /// span, then completes a kernel's callback. Kernel params must be
+  /// prepared (Device::prepare_launch).
+  void run_op(Stream& s, Op& op, double& ts);
   /// Under lock: any queued (or in-flight) op referencing `ev`?
   [[nodiscard]] bool event_referenced_locked(const Event* ev) const;
   /// Watchdog monitor: polls busy slots against simt::watchdog_ms().

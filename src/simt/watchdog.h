@@ -3,9 +3,10 @@
 // One process-wide budget in milliseconds (OMPX_WATCHDOG_MS env,
 // ompx_set_watchdog_ms, klSetWatchdogMs; 0 disables) applied two ways:
 //
-//   * modeled time — Device::launch_sync fails a launch whose modeled
-//     duration exceeds the budget (TimeoutError before the launch is
-//     logged), the simulator analogue of cudaErrorLaunchTimeout;
+//   * modeled time — Device::run_launch fails a launch, live or
+//     replayed from a graph, whose modeled duration exceeds the budget
+//     (TimeoutError before the launch is logged), the simulator
+//     analogue of cudaErrorLaunchTimeout;
 //   * wall clock — each StreamExecutor runs a monitor thread that
 //     abandons a worker stuck past the budget on one op (a hung kernel
 //     or an injected stall), fails the stream with TimeoutError, and

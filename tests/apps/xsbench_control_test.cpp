@@ -51,13 +51,7 @@ std::uint64_t run_omp_fixed_seeding(const apps::xsbench::SimulationData& d,
           const std::uint64_t contrib =
               apps::mix64(static_cast<std::uint64_t>(i) ^
                           (static_cast<std::uint64_t>(arg) + 1));
-          std::uint64_t seen = *hash;
-          while (true) {
-            const std::uint64_t prev =
-                simt::atomic_cas(hash, seen, seen ^ contrib);
-            if (prev == seen) break;
-            seen = prev;
-          }
+          simt::atomic_xor(hash, contrib);
         };
       });
   return h;

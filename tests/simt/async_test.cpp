@@ -8,7 +8,10 @@
 //  - ticket wait/query semantics of ompx::LaunchResult;
 //  - stream-ordered allocator reuse accounting (C ABI surface);
 //  - graph capture/replay equivalence against re-submitting the same
-//    ops, node enumeration via the two-call idiom, use-after-destroy;
+//    ops (buffers and LaunchStats, for 1-, 4- and 16-block direct grids,
+//    a cooperative grid and a sanitized replay), node enumeration via
+//    the two-call idiom, use-after-destroy;
+//  - a completed ticket implies the launch's profiler span is recorded;
 //  - stream destroy with in-flight ops, destroy-while-capturing.
 //
 // CI also runs this binary under TSan (-fsanitize=thread): the worker
@@ -18,6 +21,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/adam/adam.h"
@@ -298,46 +302,147 @@ TEST_F(Async, TimedOutStreamLeaksNothingAndReleasesItsBlocks) {
 // ---------------------------------------------------------------------------
 // Graph capture / replay.
 
-TEST_F(Async, GraphReplayMatchesRecapturedExecution) {
-  simt::Device& dev = ompx::default_device();
-  simt::Stream* s = dev.create_stream();
-  auto* buf = ompx::malloc_n<int>(1024);
+/// Every LaunchStats field except sched_steals, which counts how host
+/// workers happened to share out the blocks.
+auto stats_key(const simt::LaunchStats& x) {
+  return std::tie(x.blocks, x.threads, x.block_barriers, x.warp_collectives,
+                  x.warp_syncs, x.atomics, x.runtime_init, x.generic_mode,
+                  x.parallel_handshakes, x.workshare_dispatches,
+                  x.globalized_bytes, x.spill_in_shared, x.fibers_created,
+                  x.fiber_reuses, x.sched_lane_loops, x.sched_deflations);
+}
 
-  simt::LaunchParams p;
-  p.grid = {4};
-  p.block = {256};
-  p.mode = simt::ExecMode::kDirect;
-  p.name = "graph_step";
-  auto step = [buf] {
+TEST_F(Async, GraphReplayMatchesRecapturedExecution) {
+  // One stream worker, so every op and every inline (1-block) grid runs
+  // on one thread whose fiber pool the warm-up launch fills: fiber
+  // counters then agree between runs. Four block workers fan the
+  // 16-block grid out, as step_loop's graph rung does.
+  simt::EngineOptions opts;
+  opts.workers = 4;
+  opts.stream_workers = 1;
+  simt::Device dev(simt::make_sim_a100_config(), opts);
+  simt::Stream* s = dev.create_stream();
+  constexpr std::size_t kN = 16 * 256;
+  auto* buf = static_cast<int*>(dev.memory().allocate(kN * sizeof(int)));
+
+  auto direct_step = [buf] {
     auto& t = simt::this_thread();
-    const auto i = t.block->block_index().x * 256 + t.flat_tid;
+    const auto i = t.block_idx.x * 256 + t.flat_tid;
     buf[i] += static_cast<int>(i % 7) + 1;
   };
+  // Reverses each block's slice through shared memory across a barrier.
+  auto cooperative_step = [buf] {
+    auto& t = simt::this_thread();
+    auto* tile = static_cast<int*>(
+        t.block->shared_alloc(t, 256 * sizeof(int), alignof(int)));
+    const auto base = t.block_idx.x * 256;
+    tile[t.flat_tid] = buf[base + t.flat_tid];
+    t.block->sync_threads(t);
+    buf[base + t.flat_tid] = tile[255 - t.flat_tid] + 1;
+  };
+  // Racecheck-instrumented shared traffic: a replay must not inherit
+  // shadow state from the previous one.
+  auto san_step = [buf] {
+    auto& t = simt::this_thread();
+    auto tile = ompx::san::shared_array<int>(256);
+    const auto i = t.block_idx.x * 256 + t.flat_tid;
+    tile[t.flat_tid] = buf[i];
+    buf[i] = tile[t.flat_tid] * 3 + 1;
+  };
 
-  // Reference: three plain (uncaptured) submissions.
-  std::vector<int> want(1024, 0);
-  s->memset_async(buf, 0, 1024 * sizeof(int));
-  for (int rep = 0; rep < 3; ++rep) s->launch(p, step);
-  s->synchronize();
-  std::memcpy(want.data(), buf, want.size() * sizeof(int));
+  struct Case {
+    const char* label;
+    std::uint32_t blocks;
+    simt::ExecMode mode;
+    simt::KernelFn step;
+    bool san;
+  };
+  const Case cases[] = {
+      {"1-block direct", 1, simt::ExecMode::kDirect, direct_step, false},
+      {"4-block direct", 4, simt::ExecMode::kDirect, direct_step, false},
+      {"16-block direct", 16, simt::ExecMode::kDirect, direct_step, false},
+      {"cooperative", 1, simt::ExecMode::kCooperative, cooperative_step,
+       false},
+      {"direct under ompx::San", 2, simt::ExecMode::kDirect, san_step, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const std::uint32_t san_before = ompx::San::enabled();
+    if (c.san) {
+      ompx::San::enable(simt::kSanRace | simt::kSanMem);
+      ompx::San::reset();
+    }
+    simt::LaunchParams p;
+    p.grid = {c.blocks};
+    p.block = {256};
+    p.mode = c.mode;
+    p.name = "graph_step";
+    const std::size_t bytes = c.blocks * 256 * sizeof(int);
 
-  // Capture one step, replay it three times over a re-zeroed buffer.
-  s->memset_async(buf, 0, 1024 * sizeof(int));
-  s->synchronize();
-  ompx::stream_begin_capture(*s);
-  s->launch(p, step);
-  ompx::Graph g = ompx::end_capture(*s);
-  ASSERT_TRUE(g.valid());
-  EXPECT_EQ(g.node_count(), 1u);
-  g.instantiate();
-  for (int rep = 0; rep < 3; ++rep) g.launch(*s);
-  s->synchronize();
-  EXPECT_EQ(g.replay_count(), 3u);
-  EXPECT_EQ(std::memcmp(want.data(), buf, want.size() * sizeof(int)), 0)
-      << "three replays must equal three re-submitted launches";
+    // Reference: three plain (uncaptured) submissions after a warm-up.
+    simt::LaunchRecord live;
+    const auto keep_live = [&live](const simt::LaunchRecord& r) { live = r; };
+    s->launch(p, c.step);
+    s->memset_async(buf, 0, bytes);
+    for (int rep = 0; rep < 3; ++rep) s->launch(p, c.step, keep_live);
+    s->synchronize();
+    std::vector<int> want(c.blocks * 256);
+    std::memcpy(want.data(), buf, bytes);
 
-  ompx::free_on(dev, buf);
+    // Capture one step, replay it three times over a re-zeroed buffer.
+    std::vector<simt::LaunchRecord> replayed;
+    s->memset_async(buf, 0, bytes);
+    s->synchronize();
+    ompx::stream_begin_capture(*s);
+    s->launch(p, c.step, [&replayed](const simt::LaunchRecord& r) {
+      replayed.push_back(r);
+    });
+    ompx::Graph g = ompx::end_capture(*s);
+    ASSERT_TRUE(g.valid());
+    EXPECT_EQ(g.node_count(), 1u);
+    g.instantiate();
+    for (int rep = 0; rep < 3; ++rep) g.launch(*s);
+    s->synchronize();
+    EXPECT_EQ(g.replay_count(), 3u);
+    EXPECT_EQ(std::memcmp(want.data(), buf, bytes), 0)
+        << "three replays must equal three re-submitted launches";
+    ASSERT_EQ(replayed.size(), 3u);
+    for (const simt::LaunchRecord& r : replayed) {
+      EXPECT_EQ(stats_key(r.stats), stats_key(live.stats));
+      EXPECT_EQ(r.time.total_ms, live.time.total_ms);
+      EXPECT_EQ(r.exec_mode, live.exec_mode);
+    }
+    if (c.san) {
+      EXPECT_EQ(ompx::San::error_count(), 0u) << ompx::San::report();
+      if (san_before == 0) ompx::San::disable();
+      else ompx::San::enable(san_before);
+    }
+  }
+
+  dev.memory().deallocate(buf);
   dev.destroy_stream(s);
+}
+
+// A completed ticket implies a recorded span: the executor records a
+// kernel's profiler span before the completion callback releases
+// LaunchResult::wait().
+TEST_F(Async, CompletedTicketImpliesRecordedSpan) {
+  ompx::set_launch_mode(ompx::LaunchMode::kAsync);
+  auto& prof = simt::Profiler::instance();
+  prof.start();
+  prof.reset();
+  ompx::LaunchSpec spec;
+  spec.num_teams = {1};
+  spec.thread_limit = {32};
+  spec.mode = simt::ExecMode::kDirect;
+  spec.name = "ticket_span_kernel";
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    ompx::LaunchResult r = ompx::launch(spec, [] {});
+    r.wait();
+    ASSERT_EQ(prof.counters().launches, i + 1) << "after ticket " << i;
+  }
+  prof.stop();
+  prof.reset();
 }
 
 TEST_F(Async, GraphNodeEnumerationTwoCallIdiom) {

@@ -258,4 +258,39 @@ TEST(FaultWatchdog, ModeledOverrunReportsTimeout) {
   (void)klGetLastError();
 }
 
+// The modeled watchdog holds for replayed kernels as for live ones: a
+// captured kernel whose modeled time overruns the budget fails its
+// replay with TimeoutError (OMPX_ERROR_TIMEOUT), and the stream lives on.
+TEST(FaultWatchdog, GraphReplayModeledOverrunReportsTimeout) {
+  simt::Device dev(simt::make_sim_a100_config());
+  simt::Stream* s = dev.create_stream();
+  simt::LaunchParams p;
+  p.grid = {1};
+  p.block = {32};
+  p.mode = simt::ExecMode::kDirect;
+  p.name = "graph_watchdog_overrun";
+  p.cost.flops_per_thread = 1e12;
+  // An empty kernel: wall time stays far below the 1 s budget, so only
+  // the modeled check can fire (the wall-clock monitor stays quiet).
+  constexpr double kBudgetMs = 1000.0;
+  ASSERT_GT(dev.launch_sync(p, [] {}).time.total_ms, 2 * kBudgetMs);
+
+  s->begin_capture();
+  s->launch(p, [] {});
+  std::unique_ptr<simt::Graph> g = s->end_capture();
+  g->instantiate();
+  ASSERT_EQ(ompx_set_watchdog_ms(kBudgetMs), OMPX_SUCCESS);
+  s->launch(p, [] {});
+  EXPECT_THROW(s->synchronize(), simt::TimeoutError) << "live launch";
+  s->launch_graph(*g);
+  EXPECT_THROW(s->synchronize(), simt::TimeoutError) << "graph replay";
+  ASSERT_EQ(ompx_set_watchdog_ms(0.0), OMPX_SUCCESS);
+  // A modeled overrun fails the op, not the stream.
+  s->launch_graph(*g);
+  EXPECT_NO_THROW(s->synchronize());
+  EXPECT_EQ(g->replay_count(), 1u);
+  g.reset();
+  dev.destroy_stream(s);
+}
+
 }  // namespace

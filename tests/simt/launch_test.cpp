@@ -257,6 +257,33 @@ TEST(Launch, AtomicsAcrossBlocksAndCounted) {
   EXPECT_EQ(rec.stats.atomics, 16u * 64u);
 }
 
+TEST(Launch, AtomicXorCountsOncePerCallAndFoldsLikeTheHost) {
+  std::uint64_t x = 5;
+  EXPECT_EQ(atomic_xor(&x, std::uint64_t{3}), 5u);  // returns the old value
+  EXPECT_EQ(x, 6u);
+  // Several block workers contend on one word. A CAS retry loop would
+  // count one atomic per attempt, so its count would follow the
+  // interleaving; a single XOR counts exactly one per call.
+  Device dev(tiny_config(), EngineOptions{.workers = 4});
+  LaunchParams p;
+  p.grid = {16};
+  p.block = {64};
+  const auto contrib = [](std::uint64_t i) -> std::uint64_t {
+    return (i + 1) * 0x9E3779B97F4A7C15ull ^ (i << 17);
+  };
+  std::uint64_t want = 0;
+  for (std::uint64_t i = 0; i < 16 * 64; ++i) want ^= contrib(i);
+  for (int rep = 0; rep < 5; ++rep) {
+    std::uint64_t hash = 0;
+    const LaunchRecord rec = dev.launch_sync(p, [&] {
+      const ThreadCtx& t = this_thread();
+      atomic_xor(&hash, contrib(t.block_idx.x * 64 + t.flat_tid));
+    });
+    EXPECT_EQ(hash, want);
+    EXPECT_EQ(rec.stats.atomics, 16u * 64u);
+  }
+}
+
 TEST(Launch, GridStrideLoopCoversDomain) {
   Device dev(tiny_config());
   constexpr int n = 10000;
