@@ -155,21 +155,17 @@ void replay_client(serve::ClientContext* client, int id, int requests,
         throw;
       }
       client->free(scratch);
-    } catch (const simt::DeviceOOMError&) {
-      error = "oom";
-      out->oom++;
-    } catch (const simt::AdmissionError&) {
-      error = "admission";
-      out->admission++;
-    } catch (const simt::TimeoutError&) {
-      error = "timeout";
-      out->timeout++;
-    } catch (const simt::DeviceLostError&) {
-      error = "device_lost";
-      out->device_lost++;
-    } catch (const std::exception&) {
-      error = "error";
-      out->other++;
+    } catch (...) {
+      using simt::ErrorClass;
+      switch (simt::classify_exception().cls) {
+        case ErrorClass::kDeviceOOM: error = "oom"; out->oom++; break;
+        case ErrorClass::kAdmission:
+          error = "admission"; out->admission++; break;
+        case ErrorClass::kTimeout: error = "timeout"; out->timeout++; break;
+        case ErrorClass::kDeviceLost:
+          error = "device_lost"; out->device_lost++; break;
+        default: error = "error"; out->other++;
+      }
     }
     if (ok) out->ok++;
     out->log.push_back(

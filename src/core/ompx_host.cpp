@@ -4,12 +4,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "rewrite/analyze.h"
 #include "serve/serve.h"
+#include "simt/boundary.h"
 #include "simt/device.h"
 #include "simt/profiler.h"
 #include "simt/stream.h"
@@ -17,17 +19,7 @@
 
 namespace ompx {
 
-namespace {
-/// cudaMemcpy-style legacy-stream semantics: with launches async by
-/// default, a host-synchronous memory op must first observe every
-/// launch already enqueued on the device. Skipped on executor threads
-/// (a host-fn callback calling back into the host API must not wait on
-/// its own stream).
-void sync_for_host_op(simt::Device& dev) {
-  if (simt::telemetry_detail::t_in_stream_op) return;
-  dev.synchronize();
-}
-}  // namespace
+using simt::sync_for_host_op;
 
 void* malloc_on(simt::Device& dev, std::size_t bytes) {
   dev.check_not_lost("ompx malloc");
@@ -40,18 +32,8 @@ void free_on(simt::Device& dev, void* ptr) {
   // single-device-registry bug). Unresolved pointers fall through to
   // `dev`, whose registry produces the invalid-free diagnostic.
   simt::Device* owner = simt::resolve_device(ptr);
-  simt::Device& target = owner != nullptr ? *owner : dev;
-  // Cross-API guard: a malloc_async block may already sit in (or be
-  // destined for) the stream-ordered pool; freeing it here would leave
-  // the pool holding a dangling pointer that trim double-frees.
-  if (ptr != nullptr && target.mem_pool().is_async_live(ptr))
-    throw std::invalid_argument(
-        "ompx_free: pointer was allocated with ompx_malloc_async; use "
-        "ompx_free_async on its stream (a cross-API free would corrupt "
-        "the stream-ordered pool)");
-  // An in-flight async launch may still be using the block.
-  sync_for_host_op(target);
-  target.memory().deallocate(ptr);
+  simt::free_plain("ompx_free", "ompx_free_async",
+                   owner != nullptr ? *owner : dev, ptr);
 }
 
 void memcpy_on(simt::Device& dev, void* dst, const void* src,
@@ -149,92 +131,44 @@ ompx_result_t record_result(ompx_result_t r, const char* what) {
   return r;
 }
 
+/// The ompx code for each simt::ErrorClass: this API's row of the one
+/// error contract.
+constexpr ompx_result_t kResultFor[] = {
+    OMPX_ERROR_DEVICE_LOST,        // kDeviceLost
+    OMPX_ERROR_TIMEOUT,            // kTimeout
+    OMPX_ERROR_ADMISSION,          // kAdmission
+    OMPX_ERROR_OUT_OF_MEMORY,      // kDeviceOOM
+    OMPX_ERROR_MEMORY_ALLOCATION,  // kHostAlloc
+    OMPX_ERROR_INVALID_DEVICE,     // kInvalidDevice
+    OMPX_ERROR_INVALID_VALUE,      // kInvalidValue
+    OMPX_ERROR_LAUNCH_FAILURE,     // kLaunchFailure
+    OMPX_ERROR_LAUNCH_FAILURE,     // kOtherException
+    OMPX_ERROR_UNKNOWN,            // kNonStandard
+};
+static_assert(std::size(kResultFor) == simt::kErrorClassCount);
+
 /// Runs `fn` with every escaping exception translated into an
-/// ompx_result_t (the kl layer's guarded() pattern): nothing ever
-/// unwinds across the extern "C" boundary.
+/// ompx_result_t: nothing ever unwinds across the extern "C" boundary.
 template <typename Fn>
 ompx_result_t guarded(Fn&& fn) {
   try {
     fn();
     return record_result(OMPX_SUCCESS, nullptr);
-  } catch (const simt::DeviceLostError& e) {
-    return record_result(OMPX_ERROR_DEVICE_LOST, e.what());
-  } catch (const simt::TimeoutError& e) {
-    return record_result(OMPX_ERROR_TIMEOUT, e.what());
-  } catch (const simt::AdmissionError& e) {
-    return record_result(OMPX_ERROR_ADMISSION, e.what());
-  } catch (const simt::DeviceOOMError& e) {
-    // Before the generic bad_alloc clause: device-capacity exhaustion is
-    // distinct from a failed host allocation.
-    return record_result(OMPX_ERROR_OUT_OF_MEMORY, e.what());
   } catch (const ompx::result_error& e) {
     // A nested OMPX_REQUIRE (host callback re-entering the API); keep
     // the original code.
     return record_result(e.result(), e.what());
-  } catch (const std::bad_alloc& e) {
-    return record_result(OMPX_ERROR_MEMORY_ALLOCATION, e.what());
-  } catch (const std::invalid_argument& e) {
-    return record_result(OMPX_ERROR_INVALID_VALUE, e.what());
-  } catch (const std::out_of_range& e) {
-    return record_result(OMPX_ERROR_INVALID_VALUE, e.what());
-  } catch (const std::exception& e) {
-    return record_result(OMPX_ERROR_LAUNCH_FAILURE, e.what());
   } catch (...) {
-    return record_result(OMPX_ERROR_UNKNOWN, "non-standard exception");
+    const simt::ClassifiedError c = simt::classify_exception();
+    return record_result(kResultFor[static_cast<std::size_t>(c.cls)],
+                         c.detail.c_str());
   }
 }
 
-/// Registry device for a C-API index, or null (with the thread's last
-/// result set to OMPX_ERROR_INVALID_DEVICE).
-simt::Device* checked_device(const char* who, int index) {
-  const auto& reg = simt::device_registry();
-  if (index < 0 || index >= static_cast<int>(reg.size())) {
-    const std::string msg = std::string(who) + ": bad device index " +
-                            std::to_string(index);
-    record_result(OMPX_ERROR_INVALID_DEVICE, msg.c_str());
-    return nullptr;
-  }
-  return reg[static_cast<std::size_t>(index)];
-}
-
-/// Live graph for a C-API handle, or null (with the thread's last
-/// result set). Destroyed and foreign handles are caught by the live
-/// registry instead of dereferencing freed memory.
-simt::Graph* checked_graph(const char* who, ompx_graph_t handle) {
-  auto* g = static_cast<simt::Graph*>(handle);
-  if (g == nullptr || !simt::graph_alive(g)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed graph handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return g;
-}
-
-/// Live stream / event for a C-API handle, or null (with the thread's
-/// last result set). Same contract as checked_graph: destroyed and
-/// foreign handles get OMPX_ERROR_INVALID_VALUE, never a dereference.
-simt::Stream* checked_stream(const char* who, ompx_stream_t handle) {
-  auto* s = static_cast<simt::Stream*>(handle);
-  if (s == nullptr || !simt::stream_alive(s)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed stream handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return s;
-}
-
-simt::Event* checked_event(const char* who, ompx_event_t handle) {
-  auto* e = static_cast<simt::Event*>(handle);
-  if (e == nullptr || !simt::event_alive(e)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed event handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return e;
-}
+using simt::live_event;
+using simt::live_graph;
+using simt::live_stream;
+using simt::registry_device;
 
 }  // namespace
 
@@ -324,56 +258,50 @@ int ompx_get_num_devices() {
 int ompx_get_device() { return ompx::default_device_index(); }
 
 ompx_result_t ompx_set_device(int index) {
-  simt::Device* dev = checked_device("ompx_set_device", index);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { ompx::set_default_device(*dev); });
+  return guarded([&] {
+    ompx::set_default_device(registry_device("ompx_set_device", index));
+  });
 }
 
 ompx_result_t ompx_memcpy_peer(void* dst, int dst_device, const void* src,
                                int src_device, std::size_t bytes) {
-  simt::Device* ddev = checked_device("ompx_memcpy_peer", dst_device);
-  if (ddev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  simt::Device* sdev = checked_device("ompx_memcpy_peer", src_device);
-  if (sdev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { simt::peer_copy(*ddev, dst, *sdev, src, bytes); });
+  return guarded([&] {
+    simt::Device& ddev = registry_device("ompx_memcpy_peer", dst_device);
+    simt::Device& sdev = registry_device("ompx_memcpy_peer", src_device);
+    simt::peer_copy(ddev, dst, sdev, src, bytes);
+  });
 }
 
 ompx_result_t ompx_device_enable_peer_access(int peer_device,
                                              unsigned int flags) {
-  if (flags != 0) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_device_enable_peer_access: flags must be 0");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Device* peer =
-      checked_device("ompx_device_enable_peer_access", peer_device);
-  if (peer == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { ompx::default_device().enable_peer_access(*peer); });
+  const char* who = "ompx_device_enable_peer_access";
+  return guarded([&] {
+    if (flags != 0)
+      throw std::invalid_argument(std::string(who) + ": flags must be 0");
+    ompx::default_device().enable_peer_access(
+        registry_device(who, peer_device));
+  });
 }
 
 ompx_result_t ompx_device_disable_peer_access(int peer_device) {
-  simt::Device* peer =
-      checked_device("ompx_device_disable_peer_access", peer_device);
-  if (peer == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { ompx::default_device().disable_peer_access(*peer); });
+  return guarded([&] {
+    ompx::default_device().disable_peer_access(
+        registry_device("ompx_device_disable_peer_access", peer_device));
+  });
 }
 
 ompx_result_t ompx_device_can_access_peer(int* can_access, int device,
                                           int peer_device) {
-  if (can_access == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_device_can_access_peer: null result pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Device* dev = checked_device("ompx_device_can_access_peer", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  simt::Device* peer =
-      checked_device("ompx_device_can_access_peer", peer_device);
-  if (peer == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  // Every simulated device can reach every other one (single process);
-  // a device is not its own peer, as in CUDA.
-  *can_access = dev != peer ? 1 : 0;
-  return record_result(OMPX_SUCCESS, nullptr);
+  const char* who = "ompx_device_can_access_peer";
+  return guarded([&] {
+    if (can_access == nullptr)
+      throw std::invalid_argument(std::string(who) + ": null result pointer");
+    simt::Device& dev = registry_device(who, device);
+    simt::Device& peer = registry_device(who, peer_device);
+    // Every simulated device can reach every other one (single process);
+    // a device is not its own peer, as in CUDA.
+    *can_access = &dev != &peer ? 1 : 0;
+  });
 }
 
 ompx_stream_t ompx_stream_create() {
@@ -384,22 +312,21 @@ ompx_stream_t ompx_stream_create() {
 
 ompx_result_t ompx_stream_destroy(ompx_stream_t stream) {
   if (stream == nullptr) return record_result(OMPX_SUCCESS, nullptr);
-  simt::Stream* s = checked_stream("ompx_stream_destroy", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->device().destroy_stream(s); });
+  return guarded([&] {
+    simt::Stream& s = live_stream("ompx_stream_destroy", stream);
+    s.device().destroy_stream(&s);
+  });
 }
 
 ompx_result_t ompx_stream_synchronize(ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_stream_synchronize", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->synchronize(); });
+  return guarded(
+      [&] { live_stream("ompx_stream_synchronize", stream).synchronize(); });
 }
 
 ompx_result_t ompx_memcpy_async(void* dst, const void* src, std::size_t bytes,
                                 ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_memcpy_async", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
+    simt::Stream& s = live_stream("ompx_memcpy_async", stream);
     // Direction inference is registry-wide, like ompx_memcpy. A true
     // cross-device pair cannot be expressed as a single-stream op;
     // execute it as a synchronous peer copy ordered after the stream's
@@ -408,7 +335,7 @@ ompx_result_t ompx_memcpy_async(void* dst, const void* src, std::size_t bytes,
     simt::Device* dst_dev = simt::resolve_device(dst);
     simt::Device* src_dev = simt::resolve_device(src);
     if (dst_dev != nullptr && src_dev != nullptr && dst_dev != src_dev) {
-      s->synchronize();
+      s.synchronize();
       simt::peer_copy(*dst_dev, dst, *src_dev, src, bytes);
       return;
     }
@@ -421,41 +348,36 @@ ompx_result_t ompx_memcpy_async(void* dst, const void* src, std::size_t bytes,
       kind = simt::CopyKind::kDeviceToHost;
     else
       kind = simt::CopyKind::kHostToHost;
-    s->memcpy_async(dst, src, bytes, kind);
+    s.memcpy_async(dst, src, bytes, kind);
   });
 }
 
 ompx_result_t ompx_memset_async(void* ptr, int value, std::size_t bytes,
                                 ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_memset_async", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->memset_async(ptr, value, bytes); });
+  return guarded([&] {
+    live_stream("ompx_memset_async", stream).memset_async(ptr, value, bytes);
+  });
 }
 
 void* ompx_malloc_async(std::size_t bytes, ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_malloc_async", stream);
-  if (s == nullptr) return nullptr;
   void* p = nullptr;
-  guarded([&] { p = s->malloc_async(bytes); });
+  guarded([&] {
+    p = live_stream("ompx_malloc_async", stream).malloc_async(bytes);
+  });
   return p;
 }
 
 ompx_result_t ompx_free_async(void* ptr, ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_free_async", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->free_async(ptr); });
+  return guarded(
+      [&] { live_stream("ompx_free_async", stream).free_async(ptr); });
 }
 
 ompx_result_t ompx_mempool_get_stats(int device, ompx_mempool_stats_t* stats) {
-  if (stats == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_mempool_get_stats: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Device* dev = checked_device("ompx_mempool_get_stats", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
   return guarded([&] {
-    const simt::MemPoolStats s = dev->mem_pool().stats();
+    if (stats == nullptr)
+      throw std::invalid_argument("ompx_mempool_get_stats: null out pointer");
+    const simt::MemPoolStats s =
+        registry_device("ompx_mempool_get_stats", device).mem_pool().stats();
     stats->reuse_hits = s.reuse_hits;
     stats->misses = s.misses;
     stats->frees = s.frees;
@@ -468,12 +390,11 @@ ompx_result_t ompx_mempool_get_stats(int device, ompx_mempool_stats_t* stats) {
 }
 
 ompx_result_t ompx_mempool_trim(int device) {
-  simt::Device* dev = checked_device("ompx_mempool_trim", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
   return guarded([&] {
+    simt::Device& dev = registry_device("ompx_mempool_trim", device);
     // Quiesce first so no pending pooled op races the deallocation.
-    dev->synchronize();
-    dev->mem_pool().trim();
+    dev.synchronize();
+    dev.mem_pool().trim();
   });
 }
 
@@ -481,27 +402,19 @@ ompx_result_t ompx_mempool_trim(int device) {
 
 namespace {
 
-/// Live client for a C-API handle, or null (with the thread's last
-/// result set) — the stream_alive pattern applied to tenants.
-serve::ClientContext* checked_client(const char* who, ompx_client_t client) {
-  auto* c = static_cast<serve::ClientContext*>(client);
-  if (c == nullptr || !serve::Server::instance().is_live(c)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed client handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return c;
+serve::ClientContext& live_client(const char* who, ompx_client_t client) {
+  return serve::Server::instance().live_client(who, client);
 }
 
-simt::LaunchParams client_launch_params(const unsigned grid[3],
-                                        const unsigned block[3]) {
+/// The launch a C entry point describes; a null extent reads as 1x1x1.
+simt::LaunchParams c_launch_params(const unsigned grid[3],
+                                   const unsigned block[3], const char* name) {
   simt::LaunchParams p;
   p.grid = grid != nullptr ? simt::Dim3{grid[0], grid[1], grid[2]}
                            : simt::Dim3{1, 1, 1};
   p.block = block != nullptr ? simt::Dim3{block[0], block[1], block[2]}
                              : simt::Dim3{1, 1, 1};
-  p.name = "ompx_client_launch";
+  p.name = name;
   return p;
 }
 
@@ -509,11 +422,6 @@ simt::LaunchParams client_launch_params(const unsigned grid[3],
 
 ompx_client_t ompx_client_create(int device,
                                  const ompx_client_limits_t* limits) {
-  simt::Device* dev = nullptr;
-  if (device >= 0) {
-    dev = checked_device("ompx_client_create", device);
-    if (dev == nullptr) return nullptr;
-  }
   serve::ClientLimits l;
   if (limits != nullptr) {
     l.memory_quota_bytes = limits->memory_quota_bytes;
@@ -522,42 +430,43 @@ ompx_client_t ompx_client_create(int device,
     l.weight = limits->weight;
   }
   void* out = nullptr;
-  guarded([&] { out = serve::Server::instance().create_client(dev, l); });
+  guarded([&] {
+    simt::Device* dev = device >= 0
+                            ? &registry_device("ompx_client_create", device)
+                            : nullptr;
+    out = serve::Server::instance().create_client(dev, l);
+  });
   return out;
 }
 
 ompx_result_t ompx_client_destroy(ompx_client_t client) {
-  serve::ClientContext* c = checked_client("ompx_client_destroy", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { serve::Server::instance().destroy_client(c); });
+  return guarded([&] {
+    serve::Server::instance().destroy_client(
+        &live_client("ompx_client_destroy", client));
+  });
 }
 
 void* ompx_client_malloc(ompx_client_t client, std::size_t bytes) {
-  serve::ClientContext* c = checked_client("ompx_client_malloc", client);
-  if (c == nullptr) return nullptr;
   void* p = nullptr;
-  guarded([&] { p = c->malloc(bytes); });
+  guarded([&] { p = live_client("ompx_client_malloc", client).malloc(bytes); });
   return p;
 }
 
 ompx_result_t ompx_client_free(ompx_client_t client, void* ptr) {
-  serve::ClientContext* c = checked_client("ompx_client_free", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { c->free(ptr); });
+  return guarded([&] { live_client("ompx_client_free", client).free(ptr); });
 }
 
 ompx_result_t ompx_client_launch_kernel(ompx_client_t client,
                                         void (*fn)(void*), void* arg,
                                         const unsigned grid[3],
                                         const unsigned block[3]) {
-  serve::ClientContext* c = checked_client("ompx_client_launch_kernel",
-                                           client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
+    serve::ClientContext& c = live_client("ompx_client_launch_kernel", client);
     if (fn == nullptr)
       throw std::invalid_argument(
           "ompx_client_launch_kernel: null kernel function");
-    c->launch(client_launch_params(grid, block), [fn, arg] { fn(arg); });
+    c.launch(c_launch_params(grid, block, "ompx_client_launch"),
+             [fn, arg] { fn(arg); });
   });
 }
 
@@ -565,34 +474,28 @@ ompx_result_t ompx_client_launch_async(ompx_client_t client,
                                        void (*fn)(void*), void* arg,
                                        const unsigned grid[3],
                                        const unsigned block[3]) {
-  serve::ClientContext* c = checked_client("ompx_client_launch_async",
-                                           client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
+    serve::ClientContext& c = live_client("ompx_client_launch_async", client);
     if (fn == nullptr)
       throw std::invalid_argument(
           "ompx_client_launch_async: null kernel function");
-    c->submit(client_launch_params(grid, block), [fn, arg] { fn(arg); });
+    c.submit(c_launch_params(grid, block, "ompx_client_launch"),
+             [fn, arg] { fn(arg); });
   });
 }
 
 ompx_result_t ompx_client_synchronize(ompx_client_t client) {
-  serve::ClientContext* c = checked_client("ompx_client_synchronize", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { c->synchronize(); });
+  return guarded(
+      [&] { live_client("ompx_client_synchronize", client).synchronize(); });
 }
 
 ompx_result_t ompx_client_get_stats(ompx_client_t client,
                                     ompx_client_stats_t* stats) {
-  serve::ClientContext* c = checked_client("ompx_client_get_stats", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  if (stats == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_client_get_stats: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
   return guarded([&] {
-    const serve::ClientStats s = c->stats();
+    serve::ClientContext& c = live_client("ompx_client_get_stats", client);
+    if (stats == nullptr)
+      throw std::invalid_argument("ompx_client_get_stats: null out pointer");
+    const serve::ClientStats s = c.stats();
     stats->launches = s.launches;
     stats->launches_failed = s.launches_failed;
     stats->blocks_executed = s.blocks_executed;
@@ -620,24 +523,23 @@ unsigned ompx_serve_quantum(void) {
 }
 
 ompx_result_t ompx_stream_begin_capture(ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_stream_begin_capture", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->begin_capture(); });
+  return guarded([&] {
+    live_stream("ompx_stream_begin_capture", stream).begin_capture();
+  });
 }
 
 ompx_result_t ompx_stream_end_capture(ompx_stream_t stream,
                                       ompx_graph_t* graph) {
-  simt::Stream* s = checked_stream("ompx_stream_end_capture", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
+    simt::Stream& s = live_stream("ompx_stream_end_capture", stream);
     if (graph == nullptr) {
       // End the capture anyway (discarding it) so the stream is usable,
       // then report the bad out-param.
-      if (s->capturing()) s->end_capture();
+      if (s.capturing()) s.end_capture();
       throw std::invalid_argument(
           "ompx_stream_end_capture: null graph out pointer");
     }
-    *graph = s->end_capture().release();
+    *graph = s.end_capture().release();
   });
 }
 
@@ -652,17 +554,15 @@ int ompx_stream_is_capturing(ompx_stream_t stream) {
 }
 
 ompx_result_t ompx_graph_instantiate(ompx_graph_t graph) {
-  simt::Graph* g = checked_graph("ompx_graph_instantiate", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { g->instantiate(); });
+  return guarded(
+      [&] { live_graph("ompx_graph_instantiate", graph).instantiate(); });
 }
 
 ompx_result_t ompx_graph_launch(ompx_graph_t graph, ompx_stream_t stream) {
-  simt::Graph* g = checked_graph("ompx_graph_launch", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  simt::Stream* s = checked_stream("ompx_graph_launch", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->launch_graph(*g); });
+  return guarded([&] {
+    simt::Graph& g = live_graph("ompx_graph_launch", graph);
+    live_stream("ompx_graph_launch", stream).launch_graph(g);
+  });
 }
 
 ompx_result_t ompx_graph_destroy(ompx_graph_t graph) {
@@ -673,28 +573,21 @@ ompx_result_t ompx_graph_destroy(ompx_graph_t graph) {
 }
 
 ompx_result_t ompx_graph_node_count(ompx_graph_t graph, std::size_t* count) {
-  if (count == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_graph_node_count: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Graph* g = checked_graph("ompx_graph_node_count", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { *count = g->node_count(); });
+  return guarded([&] {
+    if (count == nullptr)
+      throw std::invalid_argument("ompx_graph_node_count: null out pointer");
+    *count = live_graph("ompx_graph_node_count", graph).node_count();
+  });
 }
 
 ompx_result_t ompx_graph_get_nodes(ompx_graph_t graph,
                                    ompx_graph_node_info_t* nodes,
                                    std::size_t capacity, std::size_t* written) {
-  if (written == nullptr || (nodes == nullptr && capacity != 0)) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_graph_get_nodes: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Graph* g = checked_graph("ompx_graph_get_nodes", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
-    const std::vector<simt::Graph::NodeInfo> infos = g->nodes();
+    if (written == nullptr || (nodes == nullptr && capacity != 0))
+      throw std::invalid_argument("ompx_graph_get_nodes: null out pointer");
+    const std::vector<simt::Graph::NodeInfo> infos =
+        live_graph("ompx_graph_get_nodes", graph).nodes();
     const std::size_t n = std::min(capacity, infos.size());
     for (std::size_t i = 0; i < n; ++i) {
       nodes[i] = ompx_graph_node_info_t{};
@@ -715,22 +608,11 @@ ompx_result_t ompx_launch_kernel(void (*fn)(void*), void* arg,
   return guarded([&] {
     if (fn == nullptr)
       throw std::invalid_argument("ompx_launch_kernel: null kernel function");
-    simt::LaunchParams p;
-    p.grid = grid != nullptr ? simt::Dim3{grid[0], grid[1], grid[2]}
-                             : simt::Dim3{1, 1, 1};
-    p.block = block != nullptr ? simt::Dim3{block[0], block[1], block[2]}
-                               : simt::Dim3{1, 1, 1};
-    p.name = "ompx_launch_kernel";
-    simt::Stream* s;
-    if (stream != nullptr) {
-      s = static_cast<simt::Stream*>(stream);
-      if (!simt::stream_alive(s))
-        throw std::invalid_argument(
-            "ompx_launch_kernel: invalid or destroyed stream handle");
-    } else {
-      s = &ompx::default_device().default_stream();
-    }
-    s->launch(p, [fn, arg] { fn(arg); });
+    simt::Stream& s = stream != nullptr
+                          ? live_stream("ompx_launch_kernel", stream)
+                          : ompx::default_device().default_stream();
+    s.launch(c_launch_params(grid, block, "ompx_launch_kernel"),
+             [fn, arg] { fn(arg); });
   });
 }
 
@@ -742,42 +624,38 @@ ompx_event_t ompx_event_create() {
 
 ompx_result_t ompx_event_destroy(ompx_event_t event) {
   if (event == nullptr) return record_result(OMPX_SUCCESS, nullptr);
-  simt::Event* e = checked_event("ompx_event_destroy", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { e->device().destroy_event(e); });
+  return guarded([&] {
+    simt::Event& e = live_event("ompx_event_destroy", event);
+    e.device().destroy_event(&e);
+  });
 }
 
 ompx_result_t ompx_event_record(ompx_event_t event, ompx_stream_t stream) {
-  simt::Event* e = checked_event("ompx_event_record", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  simt::Stream* s = checked_stream("ompx_event_record", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->record(*e); });
+  return guarded([&] {
+    simt::Event& e = live_event("ompx_event_record", event);
+    live_stream("ompx_event_record", stream).record(e);
+  });
 }
 
 ompx_result_t ompx_event_synchronize(ompx_event_t event) {
-  simt::Event* e = checked_event("ompx_event_synchronize", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { e->synchronize(); });
+  return guarded(
+      [&] { live_event("ompx_event_synchronize", event).synchronize(); });
 }
 
 ompx_result_t ompx_stream_wait_event(ompx_stream_t stream,
                                      ompx_event_t event) {
-  simt::Stream* s = checked_stream("ompx_stream_wait_event", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  simt::Event* e = checked_event("ompx_stream_wait_event", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->wait(*e); });
+  return guarded([&] {
+    simt::Stream& s = live_stream("ompx_stream_wait_event", stream);
+    s.wait(live_event("ompx_stream_wait_event", event));
+  });
 }
 
 float ompx_event_elapsed_ms(ompx_event_t start, ompx_event_t stop) {
-  simt::Event* e0 = checked_event("ompx_event_elapsed_ms", start);
-  if (e0 == nullptr) return -1.0f;
-  simt::Event* e1 = checked_event("ompx_event_elapsed_ms", stop);
-  if (e1 == nullptr) return -1.0f;
   float out = -1.0f;
   guarded([&] {
-    out = static_cast<float>(e1->modeled_ms() - e0->modeled_ms());
+    const double t0 = live_event("ompx_event_elapsed_ms", start).modeled_ms();
+    const double t1 = live_event("ompx_event_elapsed_ms", stop).modeled_ms();
+    out = static_cast<float>(t1 - t0);
   });
   return out;
 }
@@ -886,9 +764,8 @@ unsigned long long ompx_fault_injected_count(void) {
 }
 
 ompx_result_t ompx_device_reset(int device) {
-  simt::Device* dev = checked_device("ompx_device_reset", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { dev->reset(); });
+  return guarded(
+      [&] { registry_device("ompx_device_reset", device).reset(); });
 }
 
 ompx_result_t ompx_set_watchdog_ms(double ms) {

@@ -24,7 +24,9 @@
 // Every extern "C" entry point is exception-safe across the C boundary:
 // engine failures are translated into an ompx_result_t (returned where
 // the signature allows, always retrievable via ompx_get_last_result),
-// never thrown into C callers. The C++ forms keep throwing.
+// never thrown into C callers. The translation is
+// simt::classify_exception followed by ompx's code table in
+// ompx_host.cpp. The C++ forms keep throwing.
 #pragma once
 
 #include <cstddef>

@@ -229,11 +229,8 @@ LaunchResult shard_launch(const LaunchSpec& spec,
 
   // Shard along the largest grid axis; a grid too small for the device
   // count just uses fewer shards.
-  const std::uint32_t extents[3] = {base.grid.x, base.grid.y, base.grid.z};
-  int axis = 0;
-  if (extents[1] > extents[axis]) axis = 1;
-  if (extents[2] > extents[axis]) axis = 2;
-  const std::uint32_t total = extents[axis];
+  const int axis = base.grid.largest_axis();
+  const std::uint32_t total = base.grid[axis];
   const std::uint32_t nshards = static_cast<std::uint32_t>(
       std::min<std::size_t>(devices.size(), total));
 
@@ -252,14 +249,7 @@ LaunchResult shard_launch(const LaunchSpec& spec,
   std::uint32_t begin = 0;
   for (std::uint32_t i = 0; i < nshards; ++i) {
     const std::uint32_t extent = total / nshards + (i < total % nshards);
-    simt::LaunchParams p = base;
-    p.logical_grid = base.grid;
-    p.log = false;  // only the combined record enters a launch log
-    switch (axis) {
-      case 0: p.grid.x = extent; p.grid_offset.x = begin; break;
-      case 1: p.grid.y = extent; p.grid_offset.y = begin; break;
-      default: p.grid.z = extent; p.grid_offset.z = begin; break;
-    }
+    const simt::LaunchParams p = simt::grid_slice(base, axis, begin, extent);
     simt::Device& dev = *devices[i];
     simt::Stream& st = dev.default_stream();
     simt::LaunchRecord* slot = &shards[i];
@@ -278,34 +268,16 @@ LaunchResult shard_launch(const LaunchSpec& spec,
     devices[i]->synchronize();
   }
 
-  // Combine: stats sum over shards; modeled time is the max (the shards
-  // run concurrently on distinct devices); occupancy is blocks-weighted.
-  simt::LaunchRecord rec;
-  rec.name = base.name;
-  rec.grid = base.grid;
-  rec.block = base.block;
-  double occ_weighted = 0.0;
-  for (const simt::LaunchRecord& s : shards) {
-    rec.stats += s.stats;
-    rec.time.compute_ms = std::max(rec.time.compute_ms, s.time.compute_ms);
-    rec.time.memory_ms = std::max(rec.time.memory_ms, s.time.memory_ms);
-    rec.time.overhead_ms = std::max(rec.time.overhead_ms, s.time.overhead_ms);
-    rec.time.total_ms = std::max(rec.time.total_ms, s.time.total_ms);
-    occ_weighted += s.time.occupancy * static_cast<double>(s.stats.blocks);
-  }
-  if (rec.stats.blocks != 0)
-    rec.time.occupancy = occ_weighted / static_cast<double>(rec.stats.blocks);
-  rec.stats.runtime_init = shards.front().stats.runtime_init;
-  rec.stats.generic_mode = shards.front().stats.generic_mode;
-  rec.stats.spill_in_shared = shards.front().stats.spill_in_shared;
-  // Shards resolve from the same request; the primary's verdict stands
-  // for the combined record.
-  rec.exec_mode = shards.front().exec_mode;
-  rec.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  primary.append_launch_record(rec);
-  result.record = rec;
+  // The shards ran concurrently on distinct devices: their times max.
+  // They resolve from the same request, so the primary's exec-mode
+  // verdict stands for the combined record.
+  simt::SplitRecord combined(base, simt::SplitRecord::Parts::kConcurrent);
+  for (const simt::LaunchRecord& s : shards) combined.add(s);
+  combined.finish(std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
+  primary.append_launch_record(combined.record());
+  result.record = combined.record();
   return result;
 }
 

@@ -1,10 +1,12 @@
 #include "kl/kl.h"
 
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "rewrite/analyze.h"
 #include "serve/serve.h"
+#include "simt/boundary.h"
 
 namespace kl {
 
@@ -20,44 +22,40 @@ klError record_error(klError e, const std::string& detail) {
   return e;
 }
 
+/// The kl code for each simt::ErrorClass: this API's row of the one
+/// error contract.
+constexpr klError kErrorFor[] = {
+    klErrorDeviceLost,        // kDeviceLost
+    klErrorTimeout,           // kTimeout
+    klErrorAdmission,         // kAdmission
+    klErrorMemoryAllocation,  // kDeviceOOM, like cudaErrorMemoryAllocation
+    klErrorMemoryAllocation,  // kHostAlloc
+    klErrorInvalidDevice,     // kInvalidDevice
+    klErrorInvalidValue,      // kInvalidValue
+    klErrorLaunchFailure,     // kLaunchFailure
+    klErrorUnknown,           // kOtherException
+    klErrorUnknown,           // kNonStandard
+};
+static_assert(std::size(kErrorFor) == simt::kErrorClassCount);
+
 /// Converts engine exceptions into runtime error codes at the ABI
-/// boundary, the way the CUDA runtime does.
+/// boundary, the way the CUDA runtime does; the last error is sticky.
 template <typename F>
 klError guarded(F&& f) {
   try {
     f();
     return klSuccess;
-  } catch (const simt::DeviceLostError& e) {
-    return record_error(klErrorDeviceLost, e.what());
-  } catch (const simt::TimeoutError& e) {
-    return record_error(klErrorTimeout, e.what());
-  } catch (const simt::AdmissionError& e) {
-    return record_error(klErrorAdmission, e.what());
-  } catch (const std::bad_alloc& e) {
-    // Includes simt::DeviceOOMError: device-capacity exhaustion keeps
-    // reporting klErrorMemoryAllocation, like cudaErrorMemoryAllocation.
-    return record_error(klErrorMemoryAllocation, e.what());
-  } catch (const std::invalid_argument& e) {
-    return record_error(klErrorInvalidValue, e.what());
-  } catch (const std::out_of_range& e) {
-    return record_error(klErrorInvalidValue, e.what());
-  } catch (const std::logic_error& e) {
-    return record_error(klErrorLaunchFailure, e.what());
-  } catch (const std::runtime_error& e) {
-    return record_error(klErrorLaunchFailure, e.what());
-  } catch (const std::exception& e) {
-    return record_error(klErrorUnknown, e.what());
+  } catch (...) {
+    const simt::ClassifiedError c = simt::classify_exception();
+    return record_error(kErrorFor[static_cast<std::size_t>(c.cls)], c.detail);
   }
 }
 
-/// cudaMemcpy-style legacy-stream semantics: a host-blocking memory op
-/// must first observe every launch already enqueued on the device's
-/// streams. Skipped on executor threads (a host-fn callback calling
-/// back into the runtime must not wait on its own stream).
-void sync_legacy(simt::Device& dev) {
-  if (simt::telemetry_detail::t_in_stream_op) return;
-  dev.synchronize();
-}
+using simt::live_event;
+using simt::live_graph;
+using simt::live_stream;
+using simt::registry_device;
+using simt::sync_for_host_op;
 
 simt::CopyKind to_engine(klMemcpyKind k) {
   switch (k) {
@@ -98,12 +96,10 @@ klError klPeekAtLastError() { return t_last_error; }
 const char* klGetLastErrorDetail() { return t_last_detail.c_str(); }
 
 klError klSetDevice(int index) {
-  const auto& reg = simt::device_registry();
-  if (index < 0 || index >= static_cast<int>(reg.size()))
-    return record_error(klErrorInvalidDevice,
-                        "device index " + std::to_string(index));
-  t_device_index = index;
-  return klSuccess;
+  return guarded([&] {
+    registry_device("klSetDevice", index);
+    t_device_index = index;
+  });
 }
 
 klError klGetDevice(int* index) {
@@ -133,18 +129,11 @@ simt::Device& usable_device(const char* who) {
   return dev;
 }
 
-/// Handle validation against the live registries: a destroyed or
-/// foreign handle is a clean klErrorInvalidValue, never a dereference.
-/// Null is legal where the API gives it default-stream / no-op meaning,
-/// so null passes here and each entry point keeps its own null policy.
-bool bad_stream(klStream_t s) {
-  return s != nullptr && !simt::stream_alive(s);
+/// The stream behind a kl handle: null is the current device's default
+/// stream (CUDA's legacy stream); anything else must be live.
+simt::Stream& stream_or_default(const char* who, klStream_t s) {
+  return s != nullptr ? live_stream(who, s) : current_device().default_stream();
 }
-bool bad_event(klEvent_t ev) {
-  return ev != nullptr && !simt::event_alive(ev);
-}
-constexpr const char* kBadStream = "invalid or destroyed stream handle";
-constexpr const char* kBadEvent = "invalid or destroyed event handle";
 
 }  // namespace
 
@@ -157,14 +146,7 @@ klError klMalloc(void** ptr, std::size_t bytes) {
 
 klError klFree(void* ptr) {
   return guarded([&] {
-    auto& dev = usable_device("klFree");
-    if (ptr != nullptr && dev.mem_pool().is_async_live(ptr))
-      throw std::invalid_argument(
-          "klFree: pointer was allocated with klMallocAsync; use "
-          "klFreeAsync on its stream (a cross-API free would corrupt the "
-          "stream-ordered pool)");
-    sync_legacy(dev);  // an in-flight launch may still use the block
-    dev.memory().deallocate(ptr);
+    simt::free_plain("klFree", "klFreeAsync", usable_device("klFree"), ptr);
   });
 }
 
@@ -172,64 +154,47 @@ klError klMemcpy(void* dst, const void* src, std::size_t bytes,
                  klMemcpyKind kind) {
   return guarded([&] {
     auto& dev = usable_device("klMemcpy");
-    sync_legacy(dev);
+    sync_for_host_op(dev);
     dev.memory().copy(dst, src, bytes, to_engine(kind));
     if (kind == klMemcpyHostToDevice || kind == klMemcpyDeviceToHost)
       dev.add_transfer(bytes);
   });
 }
 
-namespace {
-simt::Device* checked_device(int index, klError* err) {
-  const auto& reg = simt::device_registry();
-  if (index < 0 || index >= static_cast<int>(reg.size())) {
-    *err = record_error(klErrorInvalidDevice,
-                        "device index " + std::to_string(index));
-    return nullptr;
-  }
-  return reg[static_cast<std::size_t>(index)];
-}
-}  // namespace
-
 klError klMemcpyPeer(void* dst, int dst_device, const void* src,
                      int src_device, std::size_t bytes) {
-  klError err = klSuccess;
-  simt::Device* ddev = checked_device(dst_device, &err);
-  if (ddev == nullptr) return err;
-  simt::Device* sdev = checked_device(src_device, &err);
-  if (sdev == nullptr) return err;
   return guarded([&] {
-    sync_legacy(*ddev);
-    if (sdev != ddev) sync_legacy(*sdev);
-    simt::peer_copy(*ddev, dst, *sdev, src, bytes);
+    simt::Device& ddev = registry_device("klMemcpyPeer", dst_device);
+    simt::Device& sdev = registry_device("klMemcpyPeer", src_device);
+    sync_for_host_op(ddev);
+    if (&sdev != &ddev) sync_for_host_op(sdev);
+    simt::peer_copy(ddev, dst, sdev, src, bytes);
   });
 }
 
 klError klDeviceEnablePeerAccess(int peer_device, unsigned int flags) {
   if (flags != 0) return record_error(klErrorInvalidValue, "flags must be 0");
-  klError err = klSuccess;
-  simt::Device* peer = checked_device(peer_device, &err);
-  if (peer == nullptr) return err;
-  return guarded([&] { current_device().enable_peer_access(*peer); });
+  return guarded([&] {
+    current_device().enable_peer_access(
+        registry_device("klDeviceEnablePeerAccess", peer_device));
+  });
 }
 
 klError klDeviceDisablePeerAccess(int peer_device) {
-  klError err = klSuccess;
-  simt::Device* peer = checked_device(peer_device, &err);
-  if (peer == nullptr) return err;
-  return guarded([&] { current_device().disable_peer_access(*peer); });
+  return guarded([&] {
+    current_device().disable_peer_access(
+        registry_device("klDeviceDisablePeerAccess", peer_device));
+  });
 }
 
 klError klDeviceCanAccessPeer(int* can_access, int device, int peer_device) {
   if (can_access == nullptr)
     return record_error(klErrorInvalidValue, "null result pointer");
-  klError err = klSuccess;
-  simt::Device* dev = checked_device(device, &err);
-  if (dev == nullptr) return err;
-  simt::Device* peer = checked_device(peer_device, &err);
-  if (peer == nullptr) return err;
-  *can_access = dev != peer ? 1 : 0;
-  return klSuccess;
+  return guarded([&] {
+    simt::Device& dev = registry_device("klDeviceCanAccessPeer", device);
+    simt::Device& peer = registry_device("klDeviceCanAccessPeer", peer_device);
+    *can_access = &dev != &peer ? 1 : 0;
+  });
 }
 
 klError klMemcpy2D(void* dst, std::size_t dpitch, const void* src,
@@ -237,7 +202,7 @@ klError klMemcpy2D(void* dst, std::size_t dpitch, const void* src,
                    klMemcpyKind kind) {
   return guarded([&] {
     auto& dev = usable_device("klMemcpy2D");
-    sync_legacy(dev);
+    sync_for_host_op(dev);
     const std::size_t payload =
         dev.memory().copy_2d(dst, dpitch, src, spitch, width, height,
                              to_engine(kind));
@@ -249,7 +214,7 @@ klError klMemcpy2D(void* dst, std::size_t dpitch, const void* src,
 klError klMemset(void* ptr, int value, std::size_t bytes) {
   return guarded([&] {
     auto& dev = usable_device("klMemset");
-    sync_legacy(dev);
+    sync_for_host_op(dev);
     dev.memory().set(ptr, value, bytes);
   });
 }
@@ -262,73 +227,60 @@ klError klStreamCreate(klStream_t* stream) {
 
 klError klStreamDestroy(klStream_t stream) {
   if (stream == nullptr) return klSuccess;
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] { stream->device().destroy_stream(stream); });
+  return guarded([&] {
+    simt::Stream& s = live_stream("klStreamDestroy", stream);
+    s.device().destroy_stream(&s);
+  });
 }
 
 klError klStreamSynchronize(klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] {
-    (stream != nullptr ? *stream : current_device().default_stream())
-        .synchronize();
-  });
+  return guarded(
+      [&] { stream_or_default("klStreamSynchronize", stream).synchronize(); });
 }
 
 klError klMemcpyAsync(void* dst, const void* src, std::size_t bytes,
                       klMemcpyKind kind, klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.memcpy_async(dst, src, bytes, to_engine(kind));
+    stream_or_default("klMemcpyAsync", stream)
+        .memcpy_async(dst, src, bytes, to_engine(kind));
   });
 }
 
 klError klMemsetAsync(void* ptr, int value, std::size_t bytes,
                       klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.memset_async(ptr, value, bytes);
+    stream_or_default("klMemsetAsync", stream).memset_async(ptr, value, bytes);
   });
 }
 
 klError klMallocAsync(void** ptr, std::size_t bytes, klStream_t stream) {
   if (ptr == nullptr) return record_error(klErrorInvalidValue, "null ptr");
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   *ptr = nullptr;
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    *ptr = s.malloc_async(bytes);
+    *ptr = stream_or_default("klMallocAsync", stream).malloc_async(bytes);
   });
 }
 
 klError klClientCreate(klClient_t* client, int device) {
   if (client == nullptr) return record_error(klErrorInvalidValue, "null out");
   *client = nullptr;
-  const auto& reg = simt::device_registry();
-  if (device >= static_cast<int>(reg.size()))
-    return record_error(klErrorInvalidDevice,
-                        "device index " + std::to_string(device));
   return guarded([&] {
     simt::Device* dev =
-        device >= 0 ? reg[static_cast<std::size_t>(device)] : nullptr;
+        device >= 0 ? &registry_device("klClientCreate", device) : nullptr;
     *client = serve::Server::instance().create_client(dev);
   });
 }
 
 klError klClientDestroy(klClient_t client) {
   return guarded([&] {
-    auto* c = static_cast<serve::ClientContext*>(client);
-    serve::Server::instance().destroy_client(c);
+    serve::Server& server = serve::Server::instance();
+    server.destroy_client(&server.live_client("klClientDestroy", client));
   });
 }
 
 klError klFreeAsync(void* ptr, klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.free_async(ptr);
-  });
+  return guarded(
+      [&] { stream_or_default("klFreeAsync", stream).free_async(ptr); });
 }
 
 klError klStreamBeginCapture(klStream_t stream) {
@@ -336,47 +288,33 @@ klError klStreamBeginCapture(klStream_t stream) {
     return record_error(klErrorInvalidValue,
                         "klStreamBeginCapture: the default stream cannot be "
                         "captured; pass a created stream");
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] { stream->begin_capture(); });
+  return guarded(
+      [&] { live_stream("klStreamBeginCapture", stream).begin_capture(); });
 }
 
 klError klStreamEndCapture(klStream_t stream, klGraph_t* graph) {
-  if (stream == nullptr)
-    return record_error(klErrorInvalidValue, "null stream");
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  if (graph == nullptr) {
-    // End the capture anyway (discarding it) so the stream is usable.
-    guarded([&] {
-      if (stream->capturing()) stream->end_capture();
-    });
-    return record_error(klErrorInvalidValue, "null graph out pointer");
-  }
-  return guarded([&] { *graph = stream->end_capture().release(); });
+  return guarded([&] {
+    simt::Stream& s = live_stream("klStreamEndCapture", stream);
+    if (graph == nullptr) {
+      // End the capture anyway (discarding it) so the stream is usable.
+      if (s.capturing()) s.end_capture();
+      throw std::invalid_argument("klStreamEndCapture: null graph out pointer");
+    }
+    *graph = s.end_capture().release();
+  });
 }
-
-namespace {
-klError check_graph(klGraph_t graph) {
-  if (graph == nullptr || !simt::graph_alive(graph))
-    return record_error(klErrorInvalidValue,
-                        "invalid or destroyed graph handle");
-  return klSuccess;
-}
-}  // namespace
 
 klError klGraphInstantiate(klGraph_t graph) {
-  const klError e = check_graph(graph);
-  if (e != klSuccess) return e;
-  return guarded([&] { graph->instantiate(); });
+  return guarded(
+      [&] { live_graph("klGraphInstantiate", graph).instantiate(); });
 }
 
 klError klGraphLaunch(klGraph_t graph, klStream_t stream) {
-  const klError e = check_graph(graph);
-  if (e != klSuccess) return e;
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s =
-        stream != nullptr ? *stream : graph->device().default_stream();
-    s.launch_graph(*graph);
+    simt::Graph& g = live_graph("klGraphLaunch", graph);
+    simt::Stream& s = stream != nullptr ? live_stream("klGraphLaunch", stream)
+                                        : g.device().default_stream();
+    s.launch_graph(g);
   });
 }
 
@@ -396,7 +334,7 @@ klError klMallocConstant(void** ptr, std::size_t bytes) {
 klError klMemcpyToSymbol(void* symbol, const void* src, std::size_t bytes) {
   return guarded([&] {
     auto& dev = usable_device("klMemcpyToSymbol");
-    sync_legacy(dev);  // in-flight kernels read the old symbol value
+    sync_for_host_op(dev);  // in-flight kernels read the old symbol value
     dev.constant_memory().copy(symbol, src, bytes,
                                simt::CopyKind::kHostToDevice);
     dev.add_transfer(bytes);
@@ -417,35 +355,34 @@ klError klEventCreate(klEvent_t* ev) {
 
 klError klEventDestroy(klEvent_t ev) {
   if (ev == nullptr) return klSuccess;
-  if (bad_event(ev)) return record_error(klErrorInvalidValue, kBadEvent);
-  return guarded([&] { ev->device().destroy_event(ev); });
+  return guarded([&] {
+    simt::Event& e = live_event("klEventDestroy", ev);
+    e.device().destroy_event(&e);
+  });
 }
 
 klError klEventRecord(klEvent_t ev, klStream_t stream) {
-  if (ev == nullptr) return record_error(klErrorInvalidValue, "null event");
-  if (bad_event(ev)) return record_error(klErrorInvalidValue, kBadEvent);
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.record(*ev);
+    simt::Event& e = live_event("klEventRecord", ev);
+    stream_or_default("klEventRecord", stream).record(e);
   });
 }
 
 klError klEventSynchronize(klEvent_t ev) {
-  if (ev == nullptr) return record_error(klErrorInvalidValue, "null event");
-  if (bad_event(ev)) return record_error(klErrorInvalidValue, kBadEvent);
-  return guarded([&] { ev->synchronize(); });
+  return guarded([&] { live_event("klEventSynchronize", ev).synchronize(); });
 }
 
 klError klEventElapsedTime(float* ms, klEvent_t start, klEvent_t stop) {
-  if (ms == nullptr || start == nullptr || stop == nullptr)
-    return record_error(klErrorInvalidValue, "null argument");
-  if (bad_event(start) || bad_event(stop))
-    return record_error(klErrorInvalidValue, kBadEvent);
-  if (!start->query() || !stop->query())
-    return record_error(klErrorNotReady, "event not recorded");
-  *ms = static_cast<float>(stop->modeled_ms() - start->modeled_ms());
-  return klSuccess;
+  if (ms == nullptr) return record_error(klErrorInvalidValue, "null argument");
+  bool ready = false;
+  const klError e = guarded([&] {
+    simt::Event& e0 = live_event("klEventElapsedTime", start);
+    simt::Event& e1 = live_event("klEventElapsedTime", stop);
+    ready = e0.query() && e1.query();
+    if (ready) *ms = static_cast<float>(e1.modeled_ms() - e0.modeled_ms());
+  });
+  if (e != klSuccess || ready) return e;
+  return record_error(klErrorNotReady, "event not recorded");
 }
 
 klError klDeviceSynchronize() {
@@ -524,10 +461,8 @@ klError klRegisterExecHints(const char* source, int* registered) {
 namespace detail {
 klError launch_erased(const simt::LaunchParams& p, klStream_t stream,
                       simt::KernelFn fn) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.launch(p, std::move(fn));
+    stream_or_default("kl::launch", stream).launch(p, std::move(fn));
   });
 }
 }  // namespace detail

@@ -10,7 +10,8 @@
 // sim-mi250 when HIP-shaped.
 //
 // Host entry points return klError codes like the CUDA runtime; engine
-// exceptions are converted at this boundary and retrievable via
+// exceptions are converted at this boundary (simt::classify_exception,
+// then kl's code table in kl.cpp) and retrievable via
 // klGetLastError/klGetErrorString.
 #pragma once
 

@@ -141,6 +141,8 @@ class Server {
 
   /// True while `client` is a live handle from create_client.
   [[nodiscard]] bool is_live(const ClientContext* client) const;
+  /// The live client behind a host-API handle (simt::live_handle).
+  ClientContext& live_client(const char* who, const void* handle) const;
   [[nodiscard]] std::size_t client_count() const;
 
   /// Preemption quantum in grid blocks (min 1). Default 64.

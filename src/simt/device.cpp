@@ -138,6 +138,9 @@ LaneExec Device::resolve_lane_exec(const LaunchParams& params) const {
 
 Device::Device(DeviceConfig cfg, EngineOptions opts)
     : cfg_(std::move(cfg)), opts_(opts),
+      block_workers_(std::max(1u, opts.workers != 0
+                                      ? opts.workers
+                                      : std::thread::hardware_concurrency())),
       mem_(std::make_unique<DeviceMemory>(cfg_.global_mem_bytes)),
       cmem_(std::make_unique<DeviceMemory>(cfg_.const_mem_bytes)),
       pool_(std::make_unique<StreamMemPool>(*mem_)),
@@ -298,13 +301,53 @@ LaunchRecord Device::run_launch(const LaunchParams& params,
   return rec;
 }
 
+LaunchParams grid_slice(const LaunchParams& whole, int axis,
+                        std::uint32_t begin, std::uint32_t extent) {
+  LaunchParams p = whole;
+  p.log = false;
+  p.logical_grid = whole.grid;
+  p.grid[axis] = extent;
+  p.grid_offset[axis] = begin;
+  return p;
+}
+
+SplitRecord::SplitRecord(const LaunchParams& whole, Parts parts)
+    : parts_(parts) {
+  rec_.name = whole.name;
+  rec_.grid = whole.grid;
+  rec_.block = whole.block;
+}
+
+void SplitRecord::add(const LaunchRecord& part) {
+  if (rec_.stats.blocks == 0) {  // the first part: no launch is empty
+    rec_.exec_mode = part.exec_mode;
+    rec_.stats.runtime_init = part.stats.runtime_init;
+    rec_.stats.generic_mode = part.stats.generic_mode;
+    rec_.stats.spill_in_shared = part.stats.spill_in_shared;
+  }
+  rec_.stats += part.stats;  // leaves the configuration flags alone
+  auto fold = [this](double& into, double v) {
+    into = parts_ == Parts::kConcurrent ? std::max(into, v) : into + v;
+  };
+  fold(rec_.time.compute_ms, part.time.compute_ms);
+  fold(rec_.time.memory_ms, part.time.memory_ms);
+  fold(rec_.time.overhead_ms, part.time.overhead_ms);
+  fold(rec_.time.total_ms, part.time.total_ms);
+  occ_weighted_ +=
+      part.time.occupancy * static_cast<double>(part.stats.blocks);
+}
+
+void SplitRecord::finish(double wall_ms) {
+  if (rec_.stats.blocks != 0)
+    rec_.time.occupancy =
+        occ_weighted_ / static_cast<double>(rec_.stats.blocks);
+  rec_.wall_ms = wall_ms;
+}
+
 LaunchStats Device::run_blocks(const LaunchParams& params,
                                const KernelFn& kernel) {
   LaunchStats stats;
   const std::uint64_t nblocks = params.grid.count();
-  const unsigned workers = std::max(
-      1u, opts_.workers != 0 ? opts_.workers
-                             : std::thread::hardware_concurrency());
   auto run_range = [&](std::uint64_t begin, std::uint64_t end,
                        LaunchStats& acc) {
     for (std::uint64_t b = begin; b < end; ++b) {
@@ -317,7 +360,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
       acc += block.counters();
     }
   };
-  if (workers == 1 || nblocks < 2) {
+  if (block_workers_ == 1 || nblocks < 2) {
     run_range(0, nblocks, stats);
   } else {
     // Blocks are independent (CUDA semantics: no inter-block ordering),
@@ -328,7 +371,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
     // per-worker counter accumulators are merged at join so stats stay
     // exact. Exceptions drain the queue (fail fast) and propagate.
     const unsigned n = static_cast<unsigned>(
-        std::min<std::uint64_t>(workers, nblocks));
+        std::min<std::uint64_t>(block_workers_, nblocks));
     const std::uint64_t chunk =
         opts_.steal_chunk_blocks != 0
             ? opts_.steal_chunk_blocks

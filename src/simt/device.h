@@ -141,6 +141,40 @@ struct LaunchRecord {
   std::string exec_mode = "fiber";
 };
 
+/// The blocks [begin, begin + extent) along `axis` of `whole`'s grid as
+/// a launch of its own (a shard or a time slice): kernels see block ids
+/// and grid_dim of the whole grid, and only the combined record enters
+/// the launch log.
+[[nodiscard]] LaunchParams grid_slice(const LaunchParams& whole, int axis,
+                                      std::uint32_t begin,
+                                      std::uint32_t extent);
+
+/// Folds the records of a launch's grid slices into one record for the
+/// whole launch: stats sum; each modeled time is the max over parts that
+/// ran concurrently (shards on distinct devices) or the sum over parts
+/// that ran one after another (serve time slices); occupancy is the
+/// blocks-weighted mean, divided once at the end; the exec mode and the
+/// configuration flags come from the first part.
+class SplitRecord {
+ public:
+  enum class Parts { kConcurrent, kSequential };
+
+  SplitRecord() = default;
+  SplitRecord(const LaunchParams& whole, Parts parts);
+
+  void add(const LaunchRecord& part);
+  /// Sets the occupancy mean and the host wall time.
+  void finish(double wall_ms);
+  /// The combined record; before finish(), its time.total_ms is the
+  /// modeled time so far.
+  [[nodiscard]] const LaunchRecord& record() const { return rec_; }
+
+ private:
+  LaunchRecord rec_;
+  Parts parts_ = Parts::kSequential;
+  double occ_weighted_ = 0.0;
+};
+
 class Stream;
 class Event;
 class StreamExecutor;
@@ -273,6 +307,9 @@ class Device {
 
   DeviceConfig cfg_;
   EngineOptions opts_;
+  /// opts_.workers with 0 resolved to the host's concurrency, once:
+  /// hardware_concurrency() costs microseconds, too much per launch.
+  const unsigned block_workers_;
   EventCosts costs_;
   std::unique_ptr<DeviceMemory> mem_;
   std::unique_ptr<DeviceMemory> cmem_;

@@ -38,6 +38,21 @@ struct Dim3 {
     return {px, py, pz};
   }
 
+  /// Component `axis`: 0 = x, 1 = y, 2 = z.
+  constexpr std::uint32_t& operator[](int axis) {
+    return axis == 0 ? x : axis == 1 ? y : z;
+  }
+  constexpr std::uint32_t operator[](int axis) const {
+    return axis == 0 ? x : axis == 1 ? y : z;
+  }
+
+  /// The longest axis, ties to the lower one: the axis a launch is
+  /// split along into shards or time slices.
+  [[nodiscard]] constexpr int largest_axis() const {
+    const int xy = y > x ? 1 : 0;
+    return z > (*this)[xy] ? 2 : xy;
+  }
+
   [[nodiscard]] constexpr bool contains(const Dim3& p) const {
     return p.x < x && p.y < y && p.z < z;
   }

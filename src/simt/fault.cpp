@@ -63,6 +63,36 @@ double parse_f64(const std::string& spec, const std::string& v) {
 
 }  // namespace
 
+ClassifiedError classify_exception(std::exception_ptr e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const DeviceLostError& x) {
+    return {ErrorClass::kDeviceLost, x.what()};
+  } catch (const TimeoutError& x) {
+    return {ErrorClass::kTimeout, x.what()};
+  } catch (const AdmissionError& x) {
+    return {ErrorClass::kAdmission, x.what()};
+  } catch (const DeviceOOMError& x) {
+    return {ErrorClass::kDeviceOOM, x.what()};
+  } catch (const std::bad_alloc& x) {
+    return {ErrorClass::kHostAlloc, x.what()};
+  } catch (const InvalidDeviceError& x) {
+    return {ErrorClass::kInvalidDevice, x.what()};
+  } catch (const std::invalid_argument& x) {
+    return {ErrorClass::kInvalidValue, x.what()};
+  } catch (const std::out_of_range& x) {
+    return {ErrorClass::kInvalidValue, x.what()};
+  } catch (const std::logic_error& x) {
+    return {ErrorClass::kLaunchFailure, x.what()};
+  } catch (const std::runtime_error& x) {
+    return {ErrorClass::kLaunchFailure, x.what()};
+  } catch (const std::exception& x) {
+    return {ErrorClass::kOtherException, x.what()};
+  } catch (...) {
+    return {ErrorClass::kNonStandard, "non-standard exception"};
+  }
+}
+
 const char* fault_site_name(FaultSite site) {
   const auto i = static_cast<std::size_t>(site);
   return i < kSiteCount ? kSiteNames[i] : "?";

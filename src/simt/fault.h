@@ -37,7 +37,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <new>
 #include <stdexcept>
@@ -60,8 +62,9 @@ enum class FaultSite : std::uint8_t {
 const char* fault_site_name(FaultSite site);
 
 /// Device memory exhausted (real capacity overflow or injected).
-/// Derives from std::bad_alloc so pre-existing handlers keep working;
-/// the C ABIs map it to OMPX_ERROR_OUT_OF_MEMORY / klErrorMemoryAllocation.
+/// Derives from std::bad_alloc so pre-existing handlers keep working.
+/// classify_exception() files it as ErrorClass::kDeviceOOM, which the
+/// ompx and kl code tables map to their own codes.
 class DeviceOOMError : public std::bad_alloc {
  public:
   explicit DeviceOOMError(std::string what) : what_(std::move(what)) {}
@@ -94,6 +97,44 @@ class AdmissionError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// A host API was handed a device index outside the registry; maps to
+/// OMPX_ERROR_INVALID_DEVICE / klErrorInvalidDevice.
+class InvalidDeviceError : public std::out_of_range {
+ public:
+  using std::out_of_range::out_of_range;
+};
+
+/// The host APIs' one error contract: every exception that reaches an
+/// API boundary falls in exactly one of these classes, and each API
+/// maps a class to its own code through a constant table indexed by
+/// the class (the tables live next to ompx's and kl's guarded()).
+enum class ErrorClass : std::uint8_t {
+  kDeviceLost,      ///< DeviceLostError
+  kTimeout,         ///< TimeoutError
+  kAdmission,       ///< AdmissionError
+  kDeviceOOM,       ///< DeviceOOMError
+  kHostAlloc,       ///< any other std::bad_alloc
+  kInvalidDevice,   ///< InvalidDeviceError
+  kInvalidValue,    ///< std::invalid_argument, std::out_of_range
+  kLaunchFailure,   ///< any other std::logic_error / std::runtime_error
+  kOtherException,  ///< any other std::exception
+  kNonStandard,     ///< not derived from std::exception
+  kCount,
+};
+inline constexpr std::size_t kErrorClassCount =
+    static_cast<std::size_t>(ErrorClass::kCount);
+
+struct ClassifiedError {
+  ErrorClass cls;
+  std::string detail;  ///< what(), or a fixed note for kNonStandard
+};
+
+/// The one ordered ladder from an exception to its ErrorClass (most
+/// derived first). The default argument classifies the exception being
+/// handled, so call it from a catch block; error paths only.
+ClassifiedError classify_exception(
+    std::exception_ptr e = std::current_exception());
 
 namespace fault_detail {
 /// Global injection switch; non-zero while a spec is armed.

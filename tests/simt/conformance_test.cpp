@@ -8,6 +8,9 @@
 // per-thread. These tests pin the contract entry point by entry point.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,6 +82,92 @@ TEST(ConformanceResults, LastResultIsThreadLocal) {
   // This thread's slot never saw the other thread's failures.
   EXPECT_EQ(ompx_peek_last_result(), OMPX_SUCCESS);
   EXPECT_EQ(klPeekAtLastError(), klSuccess);
+}
+
+// The exception->code contract, one row per exception class the
+// boundary tells apart: each kind is thrown from a 1x1 direct-mode
+// kernel on a created stream and must surface as exactly one code per
+// ABI at the stream synchronize, with what() in the detail slot.
+struct PlainError : std::exception {
+  const char* what() const noexcept override { return "plain exception"; }
+};
+
+struct ThrowRow {
+  const char* label;
+  void (*raise)();
+  ompx_result_t ompx;
+  klError kl;
+  const char* what;  ///< expected in the detail; null for non-standard
+};
+
+const ThrowRow kThrowRows[] = {
+    {"device lost", [] { throw simt::DeviceLostError("row: lost"); },
+     OMPX_ERROR_DEVICE_LOST, klErrorDeviceLost, "row: lost"},
+    {"timeout", [] { throw simt::TimeoutError("row: timeout"); },
+     OMPX_ERROR_TIMEOUT, klErrorTimeout, "row: timeout"},
+    {"admission", [] { throw simt::AdmissionError("row: admission"); },
+     OMPX_ERROR_ADMISSION, klErrorAdmission, "row: admission"},
+    {"device oom", [] { throw simt::DeviceOOMError("row: device oom"); },
+     OMPX_ERROR_OUT_OF_MEMORY, klErrorMemoryAllocation, "row: device oom"},
+    {"bad_alloc", [] { throw std::bad_alloc(); },
+     OMPX_ERROR_MEMORY_ALLOCATION, klErrorMemoryAllocation, "bad_alloc"},
+    {"invalid_argument", [] { throw std::invalid_argument("row: arg"); },
+     OMPX_ERROR_INVALID_VALUE, klErrorInvalidValue, "row: arg"},
+    {"out_of_range", [] { throw std::out_of_range("row: range"); },
+     OMPX_ERROR_INVALID_VALUE, klErrorInvalidValue, "row: range"},
+    {"logic_error", [] { throw std::logic_error("row: logic"); },
+     OMPX_ERROR_LAUNCH_FAILURE, klErrorLaunchFailure, "row: logic"},
+    {"runtime_error", [] { throw std::runtime_error("row: runtime"); },
+     OMPX_ERROR_LAUNCH_FAILURE, klErrorLaunchFailure, "row: runtime"},
+    {"std::exception", [] { throw PlainError(); },
+     OMPX_ERROR_LAUNCH_FAILURE, klErrorUnknown, "plain exception"},
+    {"non-standard", [] { throw 42; },
+     OMPX_ERROR_UNKNOWN, klErrorUnknown, nullptr},
+};
+
+void launch_throwing(simt::Stream* s, void (*raise)()) {
+  KernelAttrs attrs;
+  attrs.mode = simt::ExecMode::kDirect;
+  attrs.name = "conformance_throw";
+  ASSERT_EQ(kl::launch({1, 1, 1}, {1, 1, 1}, 0, s, attrs, [raise] { raise(); }),
+            klSuccess);
+}
+
+TEST(ConformanceResults, EveryExceptionClassMapsToOneCodePerAbi) {
+  ASSERT_EQ(klSetDevice(0), klSuccess);
+  ASSERT_EQ(ompx_set_device(0), OMPX_SUCCESS);
+  for (const ThrowRow& row : kThrowRows) {
+    SCOPED_TRACE(row.label);
+
+    klStream_t ks = nullptr;
+    ASSERT_EQ(klStreamCreate(&ks), klSuccess);
+    launch_throwing(ks, row.raise);
+    klError kl_code = klSuccess;
+    EXPECT_NO_THROW(kl_code = klStreamSynchronize(ks));
+    EXPECT_EQ(kl_code, row.kl);
+    if (row.what != nullptr) {
+      EXPECT_NE(std::string(klGetLastErrorDetail()).find(row.what),
+                std::string::npos)
+          << klGetLastErrorDetail();
+    }
+    (void)klGetLastError();
+    EXPECT_EQ(klStreamSynchronize(ks), klSuccess);  // the error was consumed
+    EXPECT_EQ(klStreamDestroy(ks), klSuccess);
+
+    ompx_stream_t os = ompx_stream_create();
+    ASSERT_NE(os, nullptr);
+    launch_throwing(static_cast<simt::Stream*>(os), row.raise);
+    EXPECT_EQ(ompx_stream_synchronize(os), row.ompx);
+    if (row.what != nullptr) {
+      EXPECT_NE(std::string(ompx_last_result_detail()).find(row.what),
+                std::string::npos)
+          << ompx_last_result_detail();
+    }
+    EXPECT_EQ(ompx_stream_synchronize(os), OMPX_SUCCESS);
+    EXPECT_EQ(ompx_stream_destroy(os), OMPX_SUCCESS);
+  }
+  (void)ompx_get_last_result();
+  (void)klGetLastError();
 }
 
 TEST(ConformanceDevice, BadIndicesReportInvalidDevice) {
